@@ -18,688 +18,18 @@ type built = {
 
 let dt = Base.Dtype.F16
 let c = E.const
-
-(* A linear layer's weights: one f16 matrix, or packed data + scales. *)
-type weight = Full of Rvar.t | Packed of { wdata : Rvar.t; wscale : Rvar.t; k : int; n : int }
-
-(* Parameter declaration: models declare all parameters up front and
-   receive accessor indices into the parameter array. *)
-type decl = { mutable specs : (string * Struct_info.t) list }
-
-let declare d name sinfo =
-  let i = List.length d.specs in
-  d.specs <- d.specs @ [ (name, sinfo) ];
-  i
-
+let tensor dims = Struct_info.tensor dims dt
 let ceil_div a b = (a + b - 1) / b
 
-let declare_linear d precision ~name ~k ~n =
-  match precision with
-  | F16 -> `One (declare d name (Struct_info.tensor [ c k; c n ] dt))
-  | Q4 ->
-      `Two
-        ( declare d (name ^ "_data")
-            (Struct_info.Tensor
-               {
-                 shape = Known [ c k; c (ceil_div n 8) ];
-                 dtype = Some Base.Dtype.U32;
-               }),
-          declare d (name ^ "_scale")
-            (Struct_info.tensor [ c k; c (ceil_div n 32) ] dt),
-          k,
-          n )
-  | Q3 ->
-      `Two
-        ( declare d (name ^ "_data")
-            (Struct_info.Tensor
-               {
-                 shape = Known [ c k; c (ceil_div n 10) ];
-                 dtype = Some Base.Dtype.U32;
-               }),
-          declare d (name ^ "_scale")
-            (Struct_info.tensor [ c k; c (ceil_div n 32) ] dt),
-          k,
-          n )
+(* ---------- tensor parallelism (DESIGN.md §13) ---------- *)
 
-(* Shared kernel cache so every layer reuses the same tensor programs. *)
-type kernels = {
-  decode_cache : (int * int, Tir.Prim_func.t) Hashtbl.t;
-      (** (k, n) -> quantized weight decode kernel *)
-}
-
-let weight_of params precision spec =
-  match spec with
-  | `One i -> Full (List.nth params i)
-  | `Two (di, si, k, n) ->
-      ignore precision;
-      Packed { wdata = List.nth params di; wscale = List.nth params si; k; n }
-
-let linear b kernels precision x w =
-  match w with
-  | Full wv -> Builder.emit b (Expr.call_op "matmul" [ x; Expr.Var wv ])
-  | Packed { wdata; wscale; k; n } ->
-      let kernel =
-        match Hashtbl.find_opt kernels.decode_cache (k, n) with
-        | Some kf -> kf
-        | None ->
-            let name =
-              match precision with Q3 -> "decode_q3" | _ -> "decode_q4"
-            in
-            let gen =
-              match precision with
-              | Q3 -> Tir.Kernels.decode_q3
-              | Q4 | F16 -> Tir.Kernels.decode_q4
-            in
-            let kf = gen ~name ~k:(c k) ~n:(c n) dt in
-            Hashtbl.replace kernels.decode_cache (k, n) kf;
-            kf
-      in
-      let w_full =
-        Builder.emit_call_tir b kernel
-          [ Expr.Var wdata; Expr.Var wscale ]
-          ~out:(Struct_info.tensor [ c k; c n ] dt)
-          ()
-      in
-      Builder.emit b (Expr.call_op "matmul" [ x; Expr.Var w_full ])
-
-(* Broadcast-add a projection bias when the model has one. *)
-let add_bias b params bias_idx v =
-  match bias_idx with
-  | None -> v
-  | Some i ->
-      Builder.emit b
-        (Expr.call_op "add" [ Expr.Var v; Expr.Var (List.nth params i) ])
-
-let norm_weights d (cfg : Configs.t) name =
-  match cfg.Configs.norm with
-  | Configs.Rms -> `Rms (declare d name (Struct_info.tensor [ c cfg.Configs.hidden ] dt))
-  | Configs.Layer ->
-      `Layer
-        ( declare d (name ^ "_g") (Struct_info.tensor [ c cfg.Configs.hidden ] dt),
-          declare d (name ^ "_b") (Struct_info.tensor [ c cfg.Configs.hidden ] dt) )
-
-let apply_norm b params spec x =
-  match spec with
-  | `Rms i -> Builder.emit b (Expr.call_op "rms_norm" [ x; Expr.Var (List.nth params i) ])
-  | `Layer (gi, bi) ->
-      Builder.emit b
-        (Expr.call_op "layer_norm"
-           [ x; Expr.Var (List.nth params gi); Expr.Var (List.nth params bi) ])
-
-let apply_act b (cfg : Configs.t) x =
-  let op = match cfg.Configs.act with Configs.Silu -> "silu" | Configs.Gelu -> "gelu" in
-  Builder.emit b (Expr.call_op op [ x ])
-
-type layer_weights = {
-  attn_norm : [ `Rms of int | `Layer of int * int ];
-  wq : [ `One of int | `Two of int * int * int * int ];
-  wk : [ `One of int | `Two of int * int * int * int ];
-  wv : [ `One of int | `Two of int * int * int * int ];
-  qkv_biases : (int * int * int) option;
-      (** Qwen2-style projection biases (q, k, v) *)
-  wo : [ `One of int | `Two of int * int * int * int ];
-  ffn_norm : [ `Rms of int | `Layer of int * int ];
-  w_gate : [ `One of int | `Two of int * int * int * int ] option;
-  w_up : [ `One of int | `Two of int * int * int * int ];
-  w_down : [ `One of int | `Two of int * int * int * int ];
-}
-
-let declare_layer d (cfg : Configs.t) precision l =
-  let h = cfg.Configs.hidden in
-  let qd = cfg.Configs.heads * cfg.Configs.head_dim in
-  let kvd = cfg.Configs.kv_heads * cfg.Configs.head_dim in
-  let pre name = Printf.sprintf "l%d_%s" l name in
-  {
-    attn_norm = norm_weights d cfg (pre "attn_norm");
-    wq = declare_linear d precision ~name:(pre "wq") ~k:h ~n:qd;
-    wk = declare_linear d precision ~name:(pre "wk") ~k:h ~n:kvd;
-    wv = declare_linear d precision ~name:(pre "wv") ~k:h ~n:kvd;
-    qkv_biases =
-      (if cfg.Configs.qkv_bias then
-         Some
-           ( declare d (pre "bq") (Struct_info.tensor [ c qd ] dt),
-             declare d (pre "bk") (Struct_info.tensor [ c kvd ] dt),
-             declare d (pre "bv") (Struct_info.tensor [ c kvd ] dt) )
-       else None);
-    wo = declare_linear d precision ~name:(pre "wo") ~k:qd ~n:h;
-    ffn_norm = norm_weights d cfg (pre "ffn_norm");
-    w_gate =
-      (match cfg.Configs.mlp with
-      | Configs.Gated ->
-          Some (declare_linear d precision ~name:(pre "w_gate") ~k:h ~n:cfg.Configs.inter)
-      | Configs.Plain -> None);
-    w_up = declare_linear d precision ~name:(pre "w_up") ~k:h ~n:cfg.Configs.inter;
-    w_down = declare_linear d precision ~name:(pre "w_down") ~k:cfg.Configs.inter ~n:h;
-  }
-
-let mlp_block b kernels precision cfg params lw x =
-  match lw.w_gate with
-  | Some gate_spec ->
-      let g =
-        linear b kernels precision x (weight_of params precision gate_spec)
-      in
-      let u = linear b kernels precision x (weight_of params precision lw.w_up) in
-      let a = apply_act b cfg (Expr.Var g) in
-      let m = Builder.emit b (Expr.call_op "multiply" [ Expr.Var a; Expr.Var u ]) in
-      linear b kernels precision (Expr.Var m) (weight_of params precision lw.w_down)
-  | None ->
-      let u = linear b kernels precision x (weight_of params precision lw.w_up) in
-      let a = apply_act b cfg (Expr.Var u) in
-      linear b kernels precision (Expr.Var a) (weight_of params precision lw.w_down)
-
-(* ---------- decode step ---------- *)
-
-let decode_gen (cfg : Configs.t) ~(bb : E.t) ~batch ~batch_var ~return_caches precision =
-  let m_var = Arith.Var.fresh "m" in
-  let m = E.var m_var in
-  let h = cfg.Configs.hidden in
-  let heads = cfg.Configs.heads and kv = cfg.Configs.kv_heads in
-  let d = cfg.Configs.head_dim in
-  let decl = { specs = [] } in
-  let ids_i =
-    declare decl "ids"
-      (Struct_info.Tensor { shape = Known [ bb ]; dtype = Some Base.Dtype.I32 })
-  in
-  let cache_is =
-    List.init cfg.Configs.layers (fun l ->
-        let ksi =
-          declare decl
-            (Printf.sprintf "k_cache_%d" l)
-            (Struct_info.tensor [ bb; c kv; m; c d ] dt)
-        in
-        let vsi =
-          declare decl
-            (Printf.sprintf "v_cache_%d" l)
-            (Struct_info.tensor [ bb; c kv; m; c d ] dt)
-        in
-        (ksi, vsi))
-  in
-  let emb_i =
-    declare decl "embedding" (Struct_info.tensor [ c cfg.Configs.vocab; c h ] dt)
-  in
-  let layer_ws = List.init cfg.Configs.layers (declare_layer decl cfg precision) in
-  let final_norm = norm_weights decl cfg "final_norm" in
-  let lm_head = declare_linear decl precision ~name:"lm_head" ~k:h ~n:cfg.Configs.vocab in
-  let kernels = { decode_cache = Hashtbl.create 8 } in
-  let rope_q =
-    Attention.rope_decode ~name:"rope_q" ~batch:bb ~heads ~head_dim:d
-      ~pos:(Arith.Var.fresh "pos") dt
-  in
-  let rope_k =
-    Attention.rope_decode ~name:"rope_k" ~batch:bb ~heads:kv ~head_dim:d
-      ~pos:(Arith.Var.fresh "pos") dt
-  in
-  let append_kernel =
-    Attention.kv_append ~name:"kv_append" ~batch:bb ~kv_heads:kv ~head_dim:d
-      ~m:(E.var (Arith.Var.fresh "mc")) dt
-  in
-  let attn_kernel =
-    Attention.decode ~name:"attention_decode" ~batch:bb ~heads ~kv_heads:kv
-      ~head_dim:d ~m:(E.var (Arith.Var.fresh "ma")) dt
-  in
-  let b = Builder.create () in
-  Builder.function_ b ~name:"decode" ~params:decl.specs (fun params ->
-      Builder.dataflow b (fun () ->
-          let p i = Expr.Var (List.nth params i) in
-          let x =
-            ref
-              (Builder.emit b (Expr.call_op "take" [ p emb_i; p ids_i ]))
-          in
-          let new_caches = ref [] in
-          List.iteri
-            (fun l lw ->
-              let ksi, vsi = List.nth cache_is l in
-              let hin = apply_norm b params lw.attn_norm (Expr.Var !x) in
-              let bq, bk, bv =
-                match lw.qkv_biases with
-                | Some (a, b_, c_) -> (Some a, Some b_, Some c_)
-                | None -> (None, None, None)
-              in
-              let q =
-                add_bias b params bq
-                  (linear b kernels precision (Expr.Var hin)
-                     (weight_of params precision lw.wq))
-              in
-              let k =
-                add_bias b params bk
-                  (linear b kernels precision (Expr.Var hin)
-                     (weight_of params precision lw.wk))
-              in
-              let v =
-                add_bias b params bv
-                  (linear b kernels precision (Expr.Var hin)
-                     (weight_of params precision lw.wv))
-              in
-              let q4 =
-                Builder.emit b
-                  (Expr.call_op "reshape"
-                     [ Expr.Var q; Expr.Shape_expr [ bb; c heads; c 1; c d ] ])
-              in
-              let k4 =
-                Builder.emit b
-                  (Expr.call_op "reshape"
-                     [ Expr.Var k; Expr.Shape_expr [ bb; c kv; c 1; c d ] ])
-              in
-              let v4 =
-                Builder.emit b
-                  (Expr.call_op "reshape"
-                     [ Expr.Var v; Expr.Shape_expr [ bb; c kv; c 1; c d ] ])
-              in
-              let qr =
-                Builder.emit_call_tir b rope_q [ Expr.Var q4 ]
-                  ~out:(Struct_info.tensor [ bb; c heads; c 1; c d ] dt)
-                  ~sym_args:[ m ] ()
-              in
-              let kr =
-                Builder.emit_call_tir b rope_k [ Expr.Var k4 ]
-                  ~out:(Struct_info.tensor [ bb; c kv; c 1; c d ] dt)
-                  ~sym_args:[ m ] ()
-              in
-              let kc' =
-                Builder.emit_call_tir b append_kernel
-                  [ p ksi; Expr.Var kr ]
-                  ~out:(Struct_info.tensor [ bb; c kv; E.add m (c 1); c d ] dt)
-                  ()
-              in
-              let vc' =
-                Builder.emit_call_tir b append_kernel
-                  [ p vsi; Expr.Var v4 ]
-                  ~out:(Struct_info.tensor [ bb; c kv; E.add m (c 1); c d ] dt)
-                  ()
-              in
-              let at =
-                Builder.emit_call_tir b attn_kernel
-                  [ Expr.Var qr; Expr.Var kc'; Expr.Var vc' ]
-                  ~out:(Struct_info.tensor [ bb; c heads; c 1; c d ] dt)
-                  ()
-              in
-              let at2 =
-                Builder.emit b
-                  (Expr.call_op "reshape"
-                     [ Expr.Var at; Expr.Shape_expr [ bb; c (heads * d) ] ])
-              in
-              let o =
-                linear b kernels precision (Expr.Var at2)
-                  (weight_of params precision lw.wo)
-              in
-              let x1 =
-                Builder.emit b (Expr.call_op "add" [ Expr.Var !x; Expr.Var o ])
-              in
-              let h2 = apply_norm b params lw.ffn_norm (Expr.Var x1) in
-              let dn = mlp_block b kernels precision cfg params lw (Expr.Var h2) in
-              let x2 =
-                Builder.emit b (Expr.call_op "add" [ Expr.Var x1; Expr.Var dn ])
-              in
-              x := x2;
-              new_caches := !new_caches @ [ kc'; vc' ])
-            layer_ws;
-          let xf = apply_norm b params final_norm (Expr.Var !x) in
-          let logits =
-            linear b kernels precision (Expr.Var xf)
-              (weight_of params precision lm_head)
-          in
-          if return_caches then
-            Expr.Tuple
-              (Expr.Var logits :: List.map (fun v -> Expr.Var v) !new_caches)
-          else Expr.Var logits))
-  ;
-  {
-    mod_ = Builder.module_ b;
-    entry = "decode";
-    ctx_var = m_var;
-    batch_var;
-    params = decl.specs;
-    config = cfg;
-    batch;
-    precision;
-  }
-
-let decode ?(return_caches = true) (cfg : Configs.t) ~batch precision =
-  decode_gen cfg ~bb:(c batch) ~batch ~batch_var:None ~return_caches precision
-
-let decode_symbolic_batch ?(return_caches = true) ?(max_batch = 64)
-    (cfg : Configs.t) precision =
-  let bv = Arith.Var.fresh "b" in
-  let built =
-    decode_gen cfg ~bb:(E.var bv) ~batch:max_batch ~batch_var:(Some bv)
-      ~return_caches precision
-  in
-  { built with batch_var = Some bv }
-
-(* ---------- paged-cache decode (extension) ---------- *)
-
-let decode_paged (cfg : Configs.t) ~batch precision =
-  let m_var = Arith.Var.fresh "m" in
-  let m = E.var m_var in
-  let bb = c batch in
-  let h = cfg.Configs.hidden in
-  let heads = cfg.Configs.heads and kv = cfg.Configs.kv_heads in
-  let d = cfg.Configs.head_dim in
-  let mmax = c cfg.Configs.max_context in
-  let decl = { specs = [] } in
-  let ids_i =
-    declare decl "ids"
-      (Struct_info.Tensor { shape = Known [ bb ]; dtype = Some Base.Dtype.I32 })
-  in
-  let len_i = declare decl "cur_len" (Struct_info.shape [ m ]) in
-  let cache_is =
-    (* Sequenced lets: a tuple of two [declare] calls would evaluate
-       right-to-left and register v_cache before k_cache, silently
-       crossing the positional (k, v, k, v, ...) argument convention
-       every caller of this program relies on. *)
-    List.init cfg.Configs.layers (fun l ->
-        let ksi =
-          declare decl
-            (Printf.sprintf "k_cache_%d" l)
-            (Struct_info.tensor [ bb; c kv; mmax; c d ] dt)
-        in
-        let vsi =
-          declare decl
-            (Printf.sprintf "v_cache_%d" l)
-            (Struct_info.tensor [ bb; c kv; mmax; c d ] dt)
-        in
-        (ksi, vsi))
-  in
-  let emb_i =
-    declare decl "embedding" (Struct_info.tensor [ c cfg.Configs.vocab; c h ] dt)
-  in
-  let layer_ws = List.init cfg.Configs.layers (declare_layer decl cfg precision) in
-  let final_norm = norm_weights decl cfg "final_norm" in
-  let lm_head = declare_linear decl precision ~name:"lm_head" ~k:h ~n:cfg.Configs.vocab in
-  let kernels = { decode_cache = Hashtbl.create 8 } in
-  let rope_q =
-    Attention.rope_decode ~name:"rope_q" ~batch:bb ~heads ~head_dim:d
-      ~pos:(Arith.Var.fresh "pos") dt
-  in
-  let rope_k =
-    Attention.rope_decode ~name:"rope_k" ~batch:bb ~heads:kv ~head_dim:d
-      ~pos:(Arith.Var.fresh "pos") dt
-  in
-  let write_kernel =
-    Attention.kv_write ~name:"kv_write" ~batch:bb ~kv_heads:kv ~head_dim:d
-      ~max_ctx:mmax ~pos:(Arith.Var.fresh "wpos") dt
-  in
-  let attn_kernel =
-    Attention.decode_paged ~name:"attention_paged" ~batch:bb ~heads
-      ~kv_heads:kv ~head_dim:d ~max_ctx:mmax ~len:(Arith.Var.fresh "alen") dt
-  in
-  let b = Builder.create () in
-  Builder.function_ b ~name:"decode" ~params:decl.specs (fun params ->
-      Builder.dataflow b (fun () ->
-          let p i = Expr.Var (List.nth params i) in
-          ignore (p len_i);
-          let x =
-            ref (Builder.emit b (Expr.call_op "take" [ p emb_i; p ids_i ]))
-          in
-          List.iteri
-            (fun l lw ->
-              let ksi, vsi = List.nth cache_is l in
-              let hin = apply_norm b params lw.attn_norm (Expr.Var !x) in
-              let bq, bk, bv =
-                match lw.qkv_biases with
-                | Some (a, b_, c_) -> (Some a, Some b_, Some c_)
-                | None -> (None, None, None)
-              in
-              let q =
-                add_bias b params bq
-                  (linear b kernels precision (Expr.Var hin)
-                     (weight_of params precision lw.wq))
-              in
-              let k =
-                add_bias b params bk
-                  (linear b kernels precision (Expr.Var hin)
-                     (weight_of params precision lw.wk))
-              in
-              let v =
-                add_bias b params bv
-                  (linear b kernels precision (Expr.Var hin)
-                     (weight_of params precision lw.wv))
-              in
-              let q4 =
-                Builder.emit b
-                  (Expr.call_op "reshape"
-                     [ Expr.Var q; Expr.Shape_expr [ bb; c heads; c 1; c d ] ])
-              in
-              let k4 =
-                Builder.emit b
-                  (Expr.call_op "reshape"
-                     [ Expr.Var k; Expr.Shape_expr [ bb; c kv; c 1; c d ] ])
-              in
-              let v4 =
-                Builder.emit b
-                  (Expr.call_op "reshape"
-                     [ Expr.Var v; Expr.Shape_expr [ bb; c kv; c 1; c d ] ])
-              in
-              let qr =
-                Builder.emit_call_tir b rope_q [ Expr.Var q4 ]
-                  ~out:(Struct_info.tensor [ bb; c heads; c 1; c d ] dt)
-                  ~sym_args:[ m ] ()
-              in
-              let kr =
-                Builder.emit_call_tir b rope_k [ Expr.Var k4 ]
-                  ~out:(Struct_info.tensor [ bb; c kv; c 1; c d ] dt)
-                  ~sym_args:[ m ] ()
-              in
-              let kc =
-                Builder.emit_call_tir_inplace b write_kernel
-                  [ Expr.Var kr; p ksi ]
-                  ~out_index:1
-                  ~out:(Struct_info.tensor [ bb; c kv; mmax; c d ] dt)
-                  ~sym_args:[ m ] ()
-              in
-              let vc =
-                Builder.emit_call_tir_inplace b write_kernel
-                  [ Expr.Var v4; p vsi ]
-                  ~out_index:1
-                  ~out:(Struct_info.tensor [ bb; c kv; mmax; c d ] dt)
-                  ~sym_args:[ m ] ()
-              in
-              let at =
-                Builder.emit_call_tir b attn_kernel
-                  [ Expr.Var qr; Expr.Var kc; Expr.Var vc ]
-                  ~out:(Struct_info.tensor [ bb; c heads; c 1; c d ] dt)
-                  ~sym_args:[ E.add m (c 1) ] ()
-              in
-              let at2 =
-                Builder.emit b
-                  (Expr.call_op "reshape"
-                     [ Expr.Var at; Expr.Shape_expr [ bb; c (heads * d) ] ])
-              in
-              let o =
-                linear b kernels precision (Expr.Var at2)
-                  (weight_of params precision lw.wo)
-              in
-              let x1 = Builder.emit b (Expr.call_op "add" [ Expr.Var !x; Expr.Var o ]) in
-              let h2 = apply_norm b params lw.ffn_norm (Expr.Var x1) in
-              let dn = mlp_block b kernels precision cfg params lw (Expr.Var h2) in
-              let x2 = Builder.emit b (Expr.call_op "add" [ Expr.Var x1; Expr.Var dn ]) in
-              x := x2)
-            layer_ws;
-          let xf = apply_norm b params final_norm (Expr.Var !x) in
-          let logits =
-            linear b kernels precision (Expr.Var xf)
-              (weight_of params precision lm_head)
-          in
-          Expr.Var logits));
-  {
-    mod_ = Builder.module_ b;
-    entry = "decode";
-    ctx_var = m_var;
-    batch_var = None;
-    params = decl.specs;
-    config = cfg;
-    batch;
-    precision;
-  }
-
-(* ---------- prefill (batch 1) ----------- *)
-
-(* Copy the last row: lets prefill return (1, vocab) logits instead of
-   materializing the full (n, vocab) matrix. *)
-let last_row_kernel ~n ~width dtype =
-  let x = Tir.Buffer.create "X" [ n; width ] dtype in
-  let y = Tir.Buffer.create "Y" [ c 1; width ] dtype in
-  let j = Arith.Var.fresh "j" in
-  let body =
-    Tir.Stmt.for_ j width
-      (Tir.Stmt.Store
-         ( y,
-           [ Tir.Texpr.i 0; Tir.Texpr.iv j ],
-           Tir.Texpr.load x [ E.sub n (c 1); E.var j ] ))
-  in
-  Tir.Prim_func.create ~name:"last_row" ~params:[ x; y ] body
-
-let prefill ?(return_caches = true) (cfg : Configs.t) precision =
-  let n_var = Arith.Var.fresh "n" in
-  let n = E.var n_var in
-  let h = cfg.Configs.hidden in
-  let heads = cfg.Configs.heads and kv = cfg.Configs.kv_heads in
-  let d = cfg.Configs.head_dim in
-  let decl = { specs = [] } in
-  let ids_i =
-    declare decl "ids"
-      (Struct_info.Tensor { shape = Known [ n ]; dtype = Some Base.Dtype.I32 })
-  in
-  let emb_i =
-    declare decl "embedding" (Struct_info.tensor [ c cfg.Configs.vocab; c h ] dt)
-  in
-  let layer_ws = List.init cfg.Configs.layers (declare_layer decl cfg precision) in
-  let final_norm = norm_weights decl cfg "final_norm" in
-  let lm_head = declare_linear decl precision ~name:"lm_head" ~k:h ~n:cfg.Configs.vocab in
-  let kernels = { decode_cache = Hashtbl.create 8 } in
-  let rope_q = Attention.rope_prefill ~name:"rope_prefill_q" ~heads ~head_dim:d ~n dt in
-  let rope_k = Attention.rope_prefill ~name:"rope_prefill_k" ~heads:kv ~head_dim:d ~n dt in
-  let attn_kernel =
-    Attention.prefill ~name:"attention_prefill" ~heads ~kv_heads:kv ~head_dim:d
-      ~n:(E.var (Arith.Var.fresh "na")) dt
-  in
-  let lrk = last_row_kernel ~n:(E.var (Arith.Var.fresh "nl")) ~width:(c h) dt in
-  let to_heads b v ~count =
-    (* (n, count*d) -> (count, n, d) *)
-    let r3 =
-      Builder.emit b
-        (Expr.call_op "reshape"
-           [ Expr.Var v; Expr.Shape_expr [ n; c count; c d ] ])
-    in
-    Builder.emit b
-      (Expr.call_op "permute_dims"
-         [ Expr.Var r3; Expr.Shape_expr [ c 1; c 0; c 2 ] ])
-  in
-  let b = Builder.create () in
-  Builder.function_ b ~name:"prefill" ~params:decl.specs (fun params ->
-      Builder.dataflow b (fun () ->
-          let p i = Expr.Var (List.nth params i) in
-          let x = ref (Builder.emit b (Expr.call_op "take" [ p emb_i; p ids_i ])) in
-          let caches = ref [] in
-          List.iter
-            (fun lw ->
-              let hin = apply_norm b params lw.attn_norm (Expr.Var !x) in
-              let bq, bk, bv =
-                match lw.qkv_biases with
-                | Some (a, b_, c_) -> (Some a, Some b_, Some c_)
-                | None -> (None, None, None)
-              in
-              let q =
-                add_bias b params bq
-                  (linear b kernels precision (Expr.Var hin)
-                     (weight_of params precision lw.wq))
-              in
-              let k =
-                add_bias b params bk
-                  (linear b kernels precision (Expr.Var hin)
-                     (weight_of params precision lw.wk))
-              in
-              let v =
-                add_bias b params bv
-                  (linear b kernels precision (Expr.Var hin)
-                     (weight_of params precision lw.wv))
-              in
-              let qh = to_heads b q ~count:heads in
-              let kh = to_heads b k ~count:kv in
-              let vh = to_heads b v ~count:kv in
-              let qr =
-                Builder.emit_call_tir b rope_q [ Expr.Var qh ]
-                  ~out:(Struct_info.tensor [ c heads; n; c d ] dt)
-                  ()
-              in
-              let kr =
-                Builder.emit_call_tir b rope_k [ Expr.Var kh ]
-                  ~out:(Struct_info.tensor [ c kv; n; c d ] dt)
-                  ()
-              in
-              let at =
-                Builder.emit_call_tir b attn_kernel
-                  [ Expr.Var qr; Expr.Var kr; Expr.Var vh ]
-                  ~out:(Struct_info.tensor [ c heads; n; c d ] dt)
-                  ()
-              in
-              (* (heads, n, d) -> (n, heads*d) *)
-              let atp =
-                Builder.emit b
-                  (Expr.call_op "permute_dims"
-                     [ Expr.Var at; Expr.Shape_expr [ c 1; c 0; c 2 ] ])
-              in
-              let at2 =
-                Builder.emit b
-                  (Expr.call_op "reshape"
-                     [ Expr.Var atp; Expr.Shape_expr [ n; c (heads * d) ] ])
-              in
-              let o =
-                linear b kernels precision (Expr.Var at2)
-                  (weight_of params precision lw.wo)
-              in
-              let x1 = Builder.emit b (Expr.call_op "add" [ Expr.Var !x; Expr.Var o ]) in
-              let h2 = apply_norm b params lw.ffn_norm (Expr.Var x1) in
-              let dn = mlp_block b kernels precision cfg params lw (Expr.Var h2) in
-              let x2 = Builder.emit b (Expr.call_op "add" [ Expr.Var x1; Expr.Var dn ]) in
-              x := x2;
-              (* caches for subsequent decode: (1, kv, n, d) *)
-              let kc =
-                Builder.emit b
-                  (Expr.call_op "reshape"
-                     [ Expr.Var kr; Expr.Shape_expr [ c 1; c kv; n; c d ] ])
-              in
-              let vc =
-                Builder.emit b
-                  (Expr.call_op "reshape"
-                     [ Expr.Var vh; Expr.Shape_expr [ c 1; c kv; n; c d ] ])
-              in
-              caches := !caches @ [ kc; vc ])
-            layer_ws;
-          let last =
-            Builder.emit_call_tir b lrk [ Expr.Var !x ]
-              ~out:(Struct_info.tensor [ c 1; c h ] dt)
-              ()
-          in
-          let xf = apply_norm b params final_norm (Expr.Var last) in
-          let logits =
-            linear b kernels precision (Expr.Var xf)
-              (weight_of params precision lm_head)
-          in
-          if return_caches then
-            Expr.Tuple
-              (Expr.Var logits :: List.map (fun v -> Expr.Var v) !caches)
-          else Expr.Var logits))
-  ;
-  {
-    mod_ = Builder.module_ b;
-    entry = "prefill";
-    ctx_var = n_var;
-    batch_var = None;
-    params = decl.specs;
-    config = cfg;
-    batch = 1;
-    precision;
-  }
-
-(* ---------- tensor-parallel sharded builders (DESIGN.md §13) ---------- *)
-
-(* One Relax module, unrolled over [tp] shards: shard s's weights are
-   contiguous column (or row) slices of the full model's matrices and
-   its bindings are named "g<s>:...", which To_vm threads through as
-   provenance so the profiler can attribute work per simulated device.
-   Explicit ccl.* collectives stitch the shards back together; they
-   are charged from the device interconnect (Device.link).
+(* Every builder is one generator unrolled over [tp] shards; [tp = 1]
+   is the unsharded model. Shard s's weights are contiguous column (or
+   row) slices of the full model's matrices and its bindings are named
+   "g<s>:...", which To_vm threads through as provenance so the
+   profiler can attribute work per simulated device. Explicit ccl.*
+   collectives stitch the shards back together; they are charged from
+   the device interconnect (Device.link).
 
    The default Gather strategy only ever concatenates shard outputs
    (all-gather), so results are bit-identical to the unsharded model:
@@ -736,668 +66,580 @@ let check_tp fn (cfg : Configs.t) ~tp =
           must divide, qkv_bias unsupported)"
          fn cfg.Configs.name tp)
 
-(* TP=1 degenerates to the unsharded builder: every weight maps to the
-   full-model parameter of the same name. *)
-let trivial_srcs (b : built) =
-  let prefixed pre nm =
-    String.length nm >= String.length pre
-    && String.sub nm 0 (String.length pre) = pre
-  in
-  List.map
-    (fun (nm, _) ->
-      if
-        nm = "ids" || nm = "cur_len" || prefixed "k_cache" nm
-        || prefixed "v_cache" nm
-      then Sh_input nm
-      else Sh_replicated nm)
-    b.params
+(* ---------- parameter declaration ---------- *)
 
-(* Declaration wrapper threading a shard-source alongside each param. *)
-type tp_decl = { d : decl; mutable rev_srcs : shard_src list }
+(* Models declare all parameters up front and receive accessor indices
+   into the parameter array, each with where its value comes from in
+   terms of the full model's parameters.
 
-let tdeclare td src name sinfo =
-  let i = declare td.d name sinfo in
-  td.rev_srcs <- src :: td.rev_srcs;
-  i
-
-let tp_norm td (cfg : Configs.t) name =
-  let h = cfg.Configs.hidden in
-  match cfg.Configs.norm with
-  | Configs.Rms ->
-      `Rms (tdeclare td (Sh_replicated name) name (Struct_info.tensor [ c h ] dt))
-  | Configs.Layer ->
-      `Layer
-        ( tdeclare td
-            (Sh_replicated (name ^ "_g"))
-            (name ^ "_g")
-            (Struct_info.tensor [ c h ] dt),
-          tdeclare td
-            (Sh_replicated (name ^ "_b"))
-            (name ^ "_b")
-            (Struct_info.tensor [ c h ] dt) )
-
-(* A shard's slice of the full-model matrix [src]: contiguous block
-   [shard] of [tp] along [axis], declared as an own parameter. *)
-let tp_mat td ~src ~axis ~shard ~tp ~k ~n =
-  tdeclare td
-    (Sh_sliced { src; axis; shard; tp })
-    (Printf.sprintf "g%d:%s" shard src)
-    (Struct_info.tensor [ c k; c n ] dt)
-
-type tp_layer = {
-  t_attn_norm : [ `Rms of int | `Layer of int * int ];
-  t_wq : int list;
-  t_wk : int list;
-  t_wv : int list;
-  t_wo : int list;
-  t_ffn_norm : [ `Rms of int | `Layer of int * int ];
-  t_w_gate : int list option;
-  t_w_up : int list;
-  t_w_down : int list;
+   The declaration order is part of the model: [args_for] seeds
+   parameter i with [seed + i], so it decides every numeric weight and
+   every seeded golden. Within a layer it runs from the MLP back to the
+   attention norm, packed weights declare their scales before their
+   data, and LayerNorm declares its bias before its gain. The sequenced
+   lets below spell that order out; do not reorder them. *)
+type decl = {
+  mutable rev : (string * Struct_info.t * shard_src) list;
+  mutable count : int;
 }
 
-let tp_declare_layer td (cfg : Configs.t) ~tp ~strategy l =
-  let h = cfg.Configs.hidden in
-  let d = cfg.Configs.head_dim in
-  let hs = cfg.Configs.heads / tp and kvs = cfg.Configs.kv_heads / tp in
-  let is_ = cfg.Configs.inter / tp and os = h / tp in
+let declare d src name sinfo =
+  let i = d.count in
+  d.rev <- (name, sinfo, src) :: d.rev;
+  d.count <- i + 1;
+  i
+
+let input d name sinfo = declare d (Sh_input name) name sinfo
+let replicated d name sinfo = declare d (Sh_replicated name) name sinfo
+
+(* A linear layer's weights, one per shard: one f16 matrix, or packed
+   data + scales. *)
+type weight = Full of int | Packed of { data : int; scale : int; k : int; n : int }
+
+(* Shard s holds block s of [tp] along [axis] of the (k, n) matrix
+   [name]; at [tp = 1] that block is the full parameter itself. *)
+let declare_linear d precision ~tp ~name ~axis ~k ~n =
+  let k = if axis = 0 then k / tp else k in
+  let n = if axis = 1 then n / tp else n in
+  List.init tp (fun s ->
+      let param suffix sinfo =
+        let full = name ^ suffix in
+        if tp = 1 then replicated d full sinfo
+        else
+          declare d
+            (Sh_sliced { src = full; axis; shard = s; tp })
+            (Printf.sprintf "g%d:%s" s full)
+            sinfo
+      in
+      match precision with
+      | F16 -> Full (param "" (tensor [ c k; c n ]))
+      | Q4 | Q3 ->
+          let per_word = if precision = Q3 then 10 else 8 in
+          let scale = param "_scale" (tensor [ c k; c (ceil_div n 32) ]) in
+          let data =
+            param "_data"
+              (Struct_info.Tensor
+                 {
+                   shape = Known [ c k; c (ceil_div n per_word) ];
+                   dtype = Some Base.Dtype.U32;
+                 })
+          in
+          Packed { data; scale; k; n })
+
+let declare_norm d (cfg : Configs.t) name =
+  let h = tensor [ c cfg.Configs.hidden ] in
+  match cfg.Configs.norm with
+  | Configs.Rms -> `Rms (replicated d name h)
+  | Configs.Layer ->
+      let b = replicated d (name ^ "_b") h in
+      let g = replicated d (name ^ "_g") h in
+      `Layer (g, b)
+
+type layer_weights = {
+  attn_norm : [ `Rms of int | `Layer of int * int ];
+  wq : weight list;
+  wk : weight list;
+  wv : weight list;
+  qkv_biases : (int * int * int) option;
+      (** Qwen2-style projection biases (q, k, v) *)
+  wo : weight list;
+  ffn_norm : [ `Rms of int | `Layer of int * int ];
+  w_gate : weight list option;
+  w_up : weight list;
+  w_down : weight list;
+}
+
+let declare_layer d (cfg : Configs.t) precision ~tp ~strategy l =
+  let h = cfg.Configs.hidden and inter = cfg.Configs.inter in
+  let qd = cfg.Configs.heads * cfg.Configs.head_dim in
+  let kvd = cfg.Configs.kv_heads * cfg.Configs.head_dim in
   let pre name = Printf.sprintf "l%d_%s" l name in
-  let attn_norm = tp_norm td cfg (pre "attn_norm") in
-  let wq =
-    List.init tp (fun s ->
-        tp_mat td ~src:(pre "wq") ~axis:1 ~shard:s ~tp ~k:h ~n:(hs * d))
+  let linear name ~axis ~k ~n =
+    declare_linear d precision ~tp ~name:(pre name) ~axis ~k ~n
   in
-  let wk =
-    List.init tp (fun s ->
-        tp_mat td ~src:(pre "wk") ~axis:1 ~shard:s ~tp ~k:h ~n:(kvs * d))
-  in
-  let wv =
-    List.init tp (fun s ->
-        tp_mat td ~src:(pre "wv") ~axis:1 ~shard:s ~tp ~k:h ~n:(kvs * d))
-  in
-  let wo =
-    match strategy with
-    | Gather ->
-        List.init tp (fun s ->
-            tp_mat td ~src:(pre "wo") ~axis:1 ~shard:s ~tp
-              ~k:(cfg.Configs.heads * d) ~n:os)
-    | Reduce ->
-        List.init tp (fun s ->
-            tp_mat td ~src:(pre "wo") ~axis:0 ~shard:s ~tp ~k:(hs * d) ~n:h)
-  in
-  let ffn_norm = tp_norm td cfg (pre "ffn_norm") in
+  (* the second matmul of each pair: column-split under Gather,
+     row-split under Reduce *)
+  let out_axis = match strategy with Gather -> 1 | Reduce -> 0 in
+  let w_down = linear "w_down" ~axis:out_axis ~k:inter ~n:h in
+  let w_up = linear "w_up" ~axis:1 ~k:h ~n:inter in
   let w_gate =
     match cfg.Configs.mlp with
-    | Configs.Gated ->
-        Some
-          (List.init tp (fun s ->
-               tp_mat td ~src:(pre "w_gate") ~axis:1 ~shard:s ~tp ~k:h ~n:is_))
+    | Configs.Gated -> Some (linear "w_gate" ~axis:1 ~k:h ~n:inter)
     | Configs.Plain -> None
   in
-  let w_up =
-    List.init tp (fun s ->
-        tp_mat td ~src:(pre "w_up") ~axis:1 ~shard:s ~tp ~k:h ~n:is_)
+  let ffn_norm = declare_norm d cfg (pre "ffn_norm") in
+  let wo = linear "wo" ~axis:out_axis ~k:qd ~n:h in
+  let qkv_biases =
+    if cfg.Configs.qkv_bias then
+      let bias name n = replicated d (pre name) (tensor [ c n ]) in
+      let bv = bias "bv" kvd in
+      let bk = bias "bk" kvd in
+      let bq = bias "bq" qd in
+      Some (bq, bk, bv)
+    else None
   in
-  let w_down =
-    match strategy with
+  let wv = linear "wv" ~axis:1 ~k:h ~n:kvd in
+  let wk = linear "wk" ~axis:1 ~k:h ~n:kvd in
+  let wq = linear "wq" ~axis:1 ~k:h ~n:qd in
+  let attn_norm = declare_norm d cfg (pre "attn_norm") in
+  { attn_norm; wq; wk; wv; qkv_biases; wo; ffn_norm; w_gate; w_up; w_down }
+
+(* ---------- emission ---------- *)
+
+type ctx = {
+  b : Builder.t;
+  tp : int;
+  strategy : tp_strategy;
+  precision : precision;
+  params : Rvar.t array;
+  decode_cache : (int * int, Tir.Prim_func.t) Hashtbl.t;
+      (** (k, n) -> quantized weight decode kernel, shared by every
+          layer *)
+}
+
+let param g i = Expr.Var g.params.(i)
+
+(* Shard s's binding name when sharded; the builder's own numbering
+   when not. *)
+let shard_name g s fmt =
+  Printf.ksprintf
+    (fun t -> if g.tp = 1 then None else Some (Printf.sprintf "g%d:%s" s t))
+    fmt
+
+let linear g ?name x w =
+  match w with
+  | Full i -> Builder.emit g.b ?name (Expr.call_op "matmul" [ Expr.Var x; param g i ])
+  | Packed { data; scale; k; n } ->
+      let kernel =
+        match Hashtbl.find_opt g.decode_cache (k, n) with
+        | Some kf -> kf
+        | None ->
+            let kf =
+              match g.precision with
+              | Q3 -> Tir.Kernels.decode_q3 ~name:"decode_q3" ~k:(c k) ~n:(c n) dt
+              | Q4 | F16 -> Tir.Kernels.decode_q4 ~name:"decode_q4" ~k:(c k) ~n:(c n) dt
+            in
+            Hashtbl.replace g.decode_cache (k, n) kf;
+            kf
+      in
+      let w_full =
+        Builder.emit_call_tir g.b kernel
+          [ param g data; param g scale ]
+          ~out:(tensor [ c k; c n ])
+          ()
+      in
+      Builder.emit g.b ?name (Expr.call_op "matmul" [ Expr.Var x; Expr.Var w_full ])
+
+(* Broadcast-add a projection bias when the model has one. *)
+let add_bias g bias v =
+  match bias with
+  | None -> v
+  | Some i -> Builder.emit g.b (Expr.call_op "add" [ Expr.Var v; param g i ])
+
+let apply_norm g spec x =
+  match spec with
+  | `Rms i -> Builder.emit g.b (Expr.call_op "rms_norm" [ Expr.Var x; param g i ])
+  | `Layer (gi, bi) ->
+      Builder.emit g.b
+        (Expr.call_op "layer_norm" [ Expr.Var x; param g gi; param g bi ])
+
+(* Stitch shard outputs back together; over one shard every
+   collective is the identity. *)
+let collective g op parts ~out ~name =
+  match parts with
+  | [ v ] -> v
+  | _ ->
+      Builder.emit_call_dps_library g.b op
+        (List.map (fun v -> Expr.Var v) parts)
+        ~out:(tensor out) ~name ()
+
+(* The second matmul of a pair ([wo], [w_down]) on (rows, k) shard
+   inputs: Gather all-gathers the inputs and column-splits the
+   weight; Reduce feeds each shard's own input through its row slice
+   and all-reduces the partial sums. Returns the (rows, n) output. *)
+let project_out g ~l ~rows ~k ~n ~tags:(in_tag, w_tag, out_tag) ins ws =
+  let ins =
+    match g.strategy with
     | Gather ->
-        List.init tp (fun s ->
-            tp_mat td ~src:(pre "w_down") ~axis:1 ~shard:s ~tp
-              ~k:cfg.Configs.inter ~n:os)
-    | Reduce ->
-        List.init tp (fun s ->
-            tp_mat td ~src:(pre "w_down") ~axis:0 ~shard:s ~tp ~k:is_ ~n:h)
+        let full =
+          collective g "ccl.all_gather" ins ~out:[ rows; c k ]
+            ~name:(Printf.sprintf "l%d_%s_ag" l in_tag)
+        in
+        List.map (fun _ -> full) ins
+    | Reduce -> ins
   in
+  let outs =
+    List.mapi
+      (fun s (x, w) -> linear g ?name:(shard_name g s "l%d_%s" l w_tag) x w)
+      (List.combine ins ws)
+  in
+  match g.strategy with
+  | Gather ->
+      collective g "ccl.all_gather" outs ~out:[ rows; c n ]
+        ~name:(Printf.sprintf "l%d_%s_ag" l out_tag)
+  | Reduce ->
+      collective g "ccl.all_reduce" outs ~out:[ rows; c n ]
+        ~name:(Printf.sprintf "l%d_%s_ar" l out_tag)
+
+let mlp g (cfg : Configs.t) ~l ~rows lw x =
+  let act_op =
+    match cfg.Configs.act with Configs.Silu -> "silu" | Configs.Gelu -> "gelu"
+  in
+  let parts =
+    List.init g.tp (fun s ->
+        let nm tag = shard_name g s "l%d_%s" l tag in
+        let proj tag ws = linear g ?name:(nm tag) x (List.nth ws s) in
+        let act v = Builder.emit g.b ?name:(nm "act") (Expr.call_op act_op [ Expr.Var v ]) in
+        match lw.w_gate with
+        | None -> act (proj "w_up" lw.w_up)
+        | Some w_gate ->
+            (* the unsharded MLP projects gate before up, the sharded
+               one up before gate; only the sharded IR digests in
+               test_llm.ml depend on this (the serving and cluster
+               benches do not), which fix the sharded binding order *)
+            let gate, up =
+              if g.tp = 1 then
+                let gate = proj "w_gate" w_gate in
+                (gate, proj "w_up" lw.w_up)
+              else
+                let up = proj "w_up" lw.w_up in
+                (proj "w_gate" w_gate, up)
+            in
+            let a = act gate in
+            Builder.emit g.b ?name:(nm "mul")
+              (Expr.call_op "multiply" [ Expr.Var a; Expr.Var up ]))
+  in
+  project_out g ~l ~rows ~k:cfg.Configs.inter ~n:cfg.Configs.hidden
+    ~tags:("mlp", "w_down", "down") parts lw.w_down
+
+(* ---------- the step that differs between builders ---------- *)
+
+type step =
+  | Append  (** decode: copy-append one position to contiguous caches *)
+  | Paged  (** decode: write one position in place into max-context caches *)
+  | Whole  (** prefill: attend over the whole sequence *)
+
+(* Declares the step's runtime inputs after [ids] (current length and
+   per-(layer, shard) KV caches) and creates its kernels. Returns the
+   per-shard attention: projected q/k/v in, the flattened attention
+   output out, plus a thunk emitting the shard's cache outputs. *)
+let attention step (cfg : Configs.t) d ~tp ~bb ~ctx_var =
+  let hs = cfg.Configs.heads / tp and kvs = cfg.Configs.kv_heads / tp in
+  let hd = cfg.Configs.head_dim in
+  let len = E.var ctx_var in
+  let reshape g name x dims =
+    Builder.emit g.b ?name (Expr.call_op "reshape" [ Expr.Var x; Expr.Shape_expr dims ])
+  in
+  match step with
+  | Append | Paged ->
+      let mmax = c cfg.Configs.max_context in
+      if step = Paged then ignore (input d "cur_len" (Struct_info.shape [ len ]));
+      let cache_len = if step = Paged then mmax else len in
+      (* k before v in every (layer, shard): the positional argument
+         convention every caller relies on *)
+      let caches =
+        Array.init cfg.Configs.layers (fun l ->
+            Array.init tp (fun s ->
+                let cache kv =
+                  let name =
+                    if tp = 1 then Printf.sprintf "%s_cache_%d" kv l
+                    else Printf.sprintf "%s_cache_%d_g%d" kv l s
+                  in
+                  input d name (tensor [ bb; c kvs; cache_len; c hd ])
+                in
+                let k = cache "k" in
+                let v = cache "v" in
+                (k, v)))
+      in
+      let rope name heads =
+        Attention.rope_decode ~name ~batch:bb ~heads ~head_dim:hd
+          ~pos:(Arith.Var.fresh "pos") dt
+      in
+      let rope_q = rope "rope_q" hs in
+      let rope_k = rope "rope_k" kvs in
+      let update, update_tag, attn_kernel, attn_sym =
+        if step = Append then
+          let kernel =
+            Attention.kv_append ~name:"kv_append" ~batch:bb ~kv_heads:kvs
+              ~head_dim:hd ~m:(E.var (Arith.Var.fresh "mc")) dt
+          in
+          let append g ?name cache x =
+            Builder.emit_call_tir g.b kernel
+              [ param g cache; Expr.Var x ]
+              ~out:(tensor [ bb; c kvs; E.add len (c 1); c hd ])
+              ?name ()
+          in
+          let attn =
+            Attention.decode ~name:"attention_decode" ~batch:bb ~heads:hs
+              ~kv_heads:kvs ~head_dim:hd ~m:(E.var (Arith.Var.fresh "ma")) dt
+          in
+          (append, "kv_append", attn, [])
+        else
+          let kernel =
+            Attention.kv_write ~name:"kv_write" ~batch:bb ~kv_heads:kvs
+              ~head_dim:hd ~max_ctx:mmax ~pos:(Arith.Var.fresh "wpos") dt
+          in
+          let write g ?name cache x =
+            Builder.emit_call_tir_inplace g.b kernel
+              [ Expr.Var x; param g cache ]
+              ~out_index:1
+              ~out:(tensor [ bb; c kvs; mmax; c hd ])
+              ~sym_args:[ len ] ?name ()
+          in
+          let attn =
+            Attention.decode_paged ~name:"attention_paged" ~batch:bb ~heads:hs
+              ~kv_heads:kvs ~head_dim:hd ~max_ctx:mmax
+              ~len:(Arith.Var.fresh "alen") dt
+          in
+          (write, "kv_write", attn, [ E.add len (c 1) ])
+      in
+      fun g ~l ~s q k v ->
+        let nm tag = shard_name g s "l%d_%s" l tag in
+        let q4 = reshape g (nm "q4") q [ bb; c hs; c 1; c hd ] in
+        let k4 = reshape g (nm "k4") k [ bb; c kvs; c 1; c hd ] in
+        let v4 = reshape g (nm "v4") v [ bb; c kvs; c 1; c hd ] in
+        let qr =
+          Builder.emit_call_tir g.b rope_q [ Expr.Var q4 ]
+            ~out:(tensor [ bb; c hs; c 1; c hd ])
+            ~sym_args:[ len ] ?name:(nm "rope_q") ()
+        in
+        let kr =
+          Builder.emit_call_tir g.b rope_k [ Expr.Var k4 ]
+            ~out:(tensor [ bb; c kvs; c 1; c hd ])
+            ~sym_args:[ len ] ?name:(nm "rope_k") ()
+        in
+        let k_cache, v_cache = caches.(l).(s) in
+        let kc = update g ?name:(nm (update_tag ^ "_k")) k_cache kr in
+        let vc = update g ?name:(nm (update_tag ^ "_v")) v_cache v4 in
+        let at =
+          Builder.emit_call_tir g.b attn_kernel
+            [ Expr.Var qr; Expr.Var kc; Expr.Var vc ]
+            ~out:(tensor [ bb; c hs; c 1; c hd ])
+            ~sym_args:attn_sym ?name:(nm "attn") ()
+        in
+        let at2 = reshape g (nm "attn_flat") at [ bb; c (hs * hd) ] in
+        let grown = if step = Append then [ kc; vc ] else [] in
+        (at2, fun () -> grown)
+  | Whole ->
+      let rope_q =
+        Attention.rope_prefill ~name:"rope_prefill_q" ~heads:hs ~head_dim:hd ~n:len dt
+      in
+      let rope_k =
+        Attention.rope_prefill ~name:"rope_prefill_k" ~heads:kvs ~head_dim:hd ~n:len dt
+      in
+      let attn_kernel =
+        Attention.prefill ~name:"attention_prefill" ~heads:hs ~kv_heads:kvs
+          ~head_dim:hd ~n:(E.var (Arith.Var.fresh "na")) dt
+      in
+      fun g ~l ~s q k v ->
+        let nm tag = shard_name g s "l%d_%s" l tag in
+        let swap01 name x =
+          Builder.emit g.b ?name
+            (Expr.call_op "permute_dims"
+               [ Expr.Var x; Expr.Shape_expr [ c 1; c 0; c 2 ] ])
+        in
+        (* (n, count*d) -> (count, n, d) *)
+        let to_heads tag x count =
+          swap01 (nm tag) (reshape g None x [ len; c count; c hd ])
+        in
+        let qh = to_heads "qh" q hs in
+        let kh = to_heads "kh" k kvs in
+        let vh = to_heads "vh" v kvs in
+        let qr =
+          Builder.emit_call_tir g.b rope_q [ Expr.Var qh ]
+            ~out:(tensor [ c hs; len; c hd ])
+            ?name:(nm "rope_q") ()
+        in
+        let kr =
+          Builder.emit_call_tir g.b rope_k [ Expr.Var kh ]
+            ~out:(tensor [ c kvs; len; c hd ])
+            ?name:(nm "rope_k") ()
+        in
+        let at =
+          Builder.emit_call_tir g.b attn_kernel
+            [ Expr.Var qr; Expr.Var kr; Expr.Var vh ]
+            ~out:(tensor [ c hs; len; c hd ])
+            ?name:(nm "attn") ()
+        in
+        (* (heads, n, d) -> (n, heads*d) *)
+        let atp = swap01 (nm "attn_t") at in
+        let at2 = reshape g (nm "attn_flat") atp [ len; c (hs * hd) ] in
+        (* caches for subsequent decode: (1, kv, n, d) *)
+        let caches () =
+          let kc = reshape g (nm "kc") kr [ c 1; c kvs; len; c hd ] in
+          let vc = reshape g (nm "vc") vh [ c 1; c kvs; len; c hd ] in
+          [ kc; vc ]
+        in
+        (at2, caches)
+
+(* Copy the last row: lets prefill return (1, vocab) logits instead of
+   materializing the full (n, vocab) matrix. *)
+let last_row_kernel ~n ~width dtype =
+  let x = Tir.Buffer.create "X" [ n; width ] dtype in
+  let y = Tir.Buffer.create "Y" [ c 1; width ] dtype in
+  let j = Arith.Var.fresh "j" in
+  let body =
+    Tir.Stmt.for_ j width
+      (Tir.Stmt.Store
+         ( y,
+           [ Tir.Texpr.i 0; Tir.Texpr.iv j ],
+           Tir.Texpr.load x [ E.sub n (c 1); E.var j ] ))
+  in
+  Tir.Prim_func.create ~name:"last_row" ~params:[ x; y ] body
+
+(* ---------- the generator ---------- *)
+
+let layer g (cfg : Configs.t) ~attend ~l ~rows lw x =
+  let hin = apply_norm g lw.attn_norm x in
+  let bq, bk, bv =
+    match lw.qkv_biases with
+    | Some (q, k, v) -> (Some q, Some k, Some v)
+    | None -> (None, None, None)
+  in
+  let shards =
+    List.init g.tp (fun s ->
+        let proj tag ws bias =
+          add_bias g bias
+            (linear g ?name:(shard_name g s "l%d_%s" l tag) hin (List.nth ws s))
+        in
+        let q = proj "wq" lw.wq bq in
+        let k = proj "wk" lw.wk bk in
+        let v = proj "wv" lw.wv bv in
+        let at2, caches = attend g ~l ~s q k v in
+        (* the sharded model emits a shard's cache outputs with the
+           shard, the unsharded one after the residual add; pinned by
+           the same sharded IR digests as the MLP order *)
+        if g.tp = 1 then (at2, caches)
+        else
+          let cs = caches () in
+          (at2, fun () -> cs))
+  in
+  let o =
+    project_out g ~l ~rows
+      ~k:(cfg.Configs.heads * cfg.Configs.head_dim)
+      ~n:cfg.Configs.hidden ~tags:("attn", "wo", "wo") (List.map fst shards)
+      lw.wo
+  in
+  let x1 = Builder.emit g.b (Expr.call_op "add" [ Expr.Var x; Expr.Var o ]) in
+  let h2 = apply_norm g lw.ffn_norm x1 in
+  let dn = mlp g cfg ~l ~rows lw h2 in
+  let x2 = Builder.emit g.b (Expr.call_op "add" [ Expr.Var x1; Expr.Var dn ]) in
+  (x2, List.concat_map (fun (_, caches) -> caches ()) shards)
+
+(* [bb] is the decode batch extent (1 for prefill, whose token rows are
+   the symbolic sequence length instead). *)
+let build ?(strategy = Gather) (cfg : Configs.t) ~step ~tp ~bb ~batch
+    ~batch_var ~return_caches precision =
+  let h = cfg.Configs.hidden in
+  let ctx_var = Arith.Var.fresh (if step = Whole then "n" else "m") in
+  let rows = if step = Whole then E.var ctx_var else bb in
+  let d = { rev = []; count = 0 } in
+  let ids =
+    input d "ids" (Struct_info.Tensor { shape = Known [ rows ]; dtype = Some Base.Dtype.I32 })
+  in
+  let attend = attention step cfg d ~tp ~bb ~ctx_var in
+  let lrk =
+    if step = Whole then
+      Some (last_row_kernel ~n:(E.var (Arith.Var.fresh "nl")) ~width:(c h) dt)
+    else None
+  in
+  let emb = replicated d "embedding" (tensor [ c cfg.Configs.vocab; c h ]) in
+  let layer_ws =
+    List.init cfg.Configs.layers (declare_layer d cfg precision ~tp ~strategy)
+  in
+  let final_norm = declare_norm d cfg "final_norm" in
+  let lm_head =
+    declare_linear d precision ~tp ~name:"lm_head" ~axis:1 ~k:h ~n:cfg.Configs.vocab
+  in
+  let specs = List.rev_map (fun (name, sinfo, _) -> (name, sinfo)) d.rev in
+  let entry = if step = Whole then "prefill" else "decode" in
+  let b = Builder.create () in
+  Builder.function_ b ~name:entry ~params:specs (fun params ->
+      Builder.dataflow b (fun () ->
+          let g =
+            {
+              b;
+              tp;
+              strategy;
+              precision;
+              params = Array.of_list params;
+              decode_cache = Hashtbl.create 8;
+            }
+          in
+          let x = ref (Builder.emit b (Expr.call_op "take" [ param g emb; param g ids ])) in
+          let caches = ref [] in
+          List.iteri
+            (fun l lw ->
+              let x', cs = layer g cfg ~attend ~l ~rows lw !x in
+              x := x';
+              caches := !caches @ cs)
+            layer_ws;
+          let last =
+            match lrk with
+            | Some k ->
+                Builder.emit_call_tir b k [ Expr.Var !x ] ~out:(tensor [ c 1; c h ]) ()
+            | None -> !x
+          in
+          let xf = apply_norm g final_norm last in
+          let parts =
+            List.mapi (fun s w -> linear g ?name:(shard_name g s "lm_head") xf w) lm_head
+          in
+          let logits =
+            collective g "ccl.all_gather" parts ~out:[ bb; c cfg.Configs.vocab ]
+              ~name:"lm_head_ag"
+          in
+          if return_caches then
+            Expr.Tuple (Expr.Var logits :: List.map (fun v -> Expr.Var v) !caches)
+          else Expr.Var logits));
   {
-    t_attn_norm = attn_norm;
-    t_wq = wq;
-    t_wk = wk;
-    t_wv = wv;
-    t_wo = wo;
-    t_ffn_norm = ffn_norm;
-    t_w_gate = w_gate;
-    t_w_up = w_up;
-    t_w_down = w_down;
+    sbuilt =
+      {
+        mod_ = Builder.module_ b;
+        entry;
+        ctx_var;
+        batch_var;
+        params = specs;
+        config = cfg;
+        batch;
+        precision;
+      };
+    srcs = List.rev_map (fun (_, _, src) -> src) d.rev;
+    tp;
   }
 
-let gname s fmt = Printf.ksprintf (fun t -> Printf.sprintf "g%d:%s" s t) fmt
+(* ---------- entry points ---------- *)
 
-(* Shard-parallel MLP + output projection shared by decode_paged_tp and
-   prefill_tp.  [rows] is the leading (token) extent of the activation,
-   [x] the normed input; returns the layer's (rows, hidden) output. *)
-let tp_mlp b (cfg : Configs.t) ~tp ~strategy ~l ~rows p lw x =
-  let h = cfg.Configs.hidden in
-  let parts =
-    List.init tp (fun s ->
-        let u =
-          Builder.emit b
-            ~name:(gname s "l%d_w_up" l)
-            (Expr.call_op "matmul" [ x; p (List.nth lw.t_w_up s) ])
-        in
-        match lw.t_w_gate with
-        | Some gates ->
-            let g =
-              Builder.emit b
-                ~name:(gname s "l%d_w_gate" l)
-                (Expr.call_op "matmul" [ x; p (List.nth gates s) ])
-            in
-            let a =
-              Builder.emit b
-                ~name:(gname s "l%d_act" l)
-                (Expr.call_op
-                   (match cfg.Configs.act with
-                   | Configs.Silu -> "silu"
-                   | Configs.Gelu -> "gelu")
-                   [ Expr.Var g ])
-            in
-            Builder.emit b
-              ~name:(gname s "l%d_mul" l)
-              (Expr.call_op "multiply" [ Expr.Var a; Expr.Var u ])
-        | None ->
-            Builder.emit b
-              ~name:(gname s "l%d_act" l)
-              (Expr.call_op
-                 (match cfg.Configs.act with
-                 | Configs.Silu -> "silu"
-                 | Configs.Gelu -> "gelu")
-                 [ Expr.Var u ]))
-  in
-  match strategy with
-  | Gather ->
-      let full =
-        Builder.emit_call_dps_library b "ccl.all_gather"
-          (List.map (fun v -> Expr.Var v) parts)
-          ~out:(Struct_info.tensor [ rows; c cfg.Configs.inter ] dt)
-          ~name:(Printf.sprintf "l%d_mlp_ag" l)
-          ()
-      in
-      let outs =
-        List.init tp (fun s ->
-            Builder.emit b
-              ~name:(gname s "l%d_w_down" l)
-              (Expr.call_op "matmul"
-                 [ Expr.Var full; p (List.nth lw.t_w_down s) ]))
-      in
-      Builder.emit_call_dps_library b "ccl.all_gather"
-        (List.map (fun v -> Expr.Var v) outs)
-        ~out:(Struct_info.tensor [ rows; c h ] dt)
-        ~name:(Printf.sprintf "l%d_down_ag" l)
-        ()
-  | Reduce ->
-      let outs =
-        List.mapi
-          (fun s part ->
-            Builder.emit b
-              ~name:(gname s "l%d_w_down" l)
-              (Expr.call_op "matmul"
-                 [ Expr.Var part; p (List.nth lw.t_w_down s) ]))
-          parts
-      in
-      Builder.emit_call_dps_library b "ccl.all_reduce"
-        (List.map (fun v -> Expr.Var v) outs)
-        ~out:(Struct_info.tensor [ rows; c h ] dt)
-        ~name:(Printf.sprintf "l%d_down_ar" l)
-        ()
+let decode ?(return_caches = true) (cfg : Configs.t) ~batch precision =
+  (build cfg ~step:Append ~tp:1 ~bb:(c batch) ~batch ~batch_var:None
+     ~return_caches precision)
+    .sbuilt
 
-(* Output projection: Gather re-gathers the per-head attention output
-   then column-splits wo; Reduce feeds each shard's own heads through
-   its row slice and all-reduces the partials. *)
-let tp_wo b (cfg : Configs.t) ~tp ~strategy ~l ~rows p lw at2s =
-  let h = cfg.Configs.hidden in
-  let qd = cfg.Configs.heads * cfg.Configs.head_dim in
-  match strategy with
-  | Gather ->
-      let full =
-        Builder.emit_call_dps_library b "ccl.all_gather"
-          (List.map (fun v -> Expr.Var v) at2s)
-          ~out:(Struct_info.tensor [ rows; c qd ] dt)
-          ~name:(Printf.sprintf "l%d_attn_ag" l)
-          ()
-      in
-      let outs =
-        List.init tp (fun s ->
-            Builder.emit b
-              ~name:(gname s "l%d_wo" l)
-              (Expr.call_op "matmul" [ Expr.Var full; p (List.nth lw.t_wo s) ]))
-      in
-      Builder.emit_call_dps_library b "ccl.all_gather"
-        (List.map (fun v -> Expr.Var v) outs)
-        ~out:(Struct_info.tensor [ rows; c h ] dt)
-        ~name:(Printf.sprintf "l%d_wo_ag" l)
-        ()
-  | Reduce ->
-      let outs =
-        List.mapi
-          (fun s at2 ->
-            Builder.emit b
-              ~name:(gname s "l%d_wo" l)
-              (Expr.call_op "matmul" [ Expr.Var at2; p (List.nth lw.t_wo s) ]))
-          at2s
-      in
-      Builder.emit_call_dps_library b "ccl.all_reduce"
-        (List.map (fun v -> Expr.Var v) outs)
-        ~out:(Struct_info.tensor [ rows; c h ] dt)
-        ~name:(Printf.sprintf "l%d_wo_ar" l)
-        ()
+let decode_symbolic_batch ?(return_caches = true) ?(max_batch = 64)
+    (cfg : Configs.t) precision =
+  let bv = Arith.Var.fresh "b" in
+  (build cfg ~step:Append ~tp:1 ~bb:(E.var bv) ~batch:max_batch
+     ~batch_var:(Some bv) ~return_caches precision)
+    .sbuilt
 
-let decode_paged_tp ?(strategy = Gather) (cfg : Configs.t) ~batch ~tp () =
+let decode_paged (cfg : Configs.t) ~batch precision =
+  (build cfg ~step:Paged ~tp:1 ~bb:(c batch) ~batch ~batch_var:None
+     ~return_caches:false precision)
+    .sbuilt
+
+let prefill ?(return_caches = true) (cfg : Configs.t) precision =
+  (build cfg ~step:Whole ~tp:1 ~bb:(c 1) ~batch:1 ~batch_var:None ~return_caches
+     precision)
+    .sbuilt
+
+let decode_paged_tp ?strategy (cfg : Configs.t) ~batch ~tp () =
   check_tp "decode_paged_tp" cfg ~tp;
-  if tp = 1 then
-    let b = decode_paged cfg ~batch F16 in
-    { sbuilt = b; srcs = trivial_srcs b; tp = 1 }
-  else begin
-    let m_var = Arith.Var.fresh "m" in
-    let m = E.var m_var in
-    let bb = c batch in
-    let h = cfg.Configs.hidden in
-    let heads = cfg.Configs.heads and kv = cfg.Configs.kv_heads in
-    let d = cfg.Configs.head_dim in
-    let hs = heads / tp and kvs = kv / tp in
-    let vs = cfg.Configs.vocab / tp in
-    let mmax = c cfg.Configs.max_context in
-    let td = { d = { specs = [] }; rev_srcs = [] } in
-    let ids_i =
-      tdeclare td (Sh_input "ids") "ids"
-        (Struct_info.Tensor { shape = Known [ bb ]; dtype = Some Base.Dtype.I32 })
-    in
-    let len_i =
-      tdeclare td (Sh_input "cur_len") "cur_len" (Struct_info.shape [ m ])
-    in
-    let cache_is =
-      List.init cfg.Configs.layers (fun l ->
-          List.init tp (fun s ->
-              let kn = Printf.sprintf "k_cache_%d_g%d" l s in
-              let ksi =
-                tdeclare td (Sh_input kn) kn
-                  (Struct_info.tensor [ bb; c kvs; mmax; c d ] dt)
-              in
-              let vn = Printf.sprintf "v_cache_%d_g%d" l s in
-              let vsi =
-                tdeclare td (Sh_input vn) vn
-                  (Struct_info.tensor [ bb; c kvs; mmax; c d ] dt)
-              in
-              (ksi, vsi)))
-    in
-    let emb_i =
-      tdeclare td (Sh_replicated "embedding") "embedding"
-        (Struct_info.tensor [ c cfg.Configs.vocab; c h ] dt)
-    in
-    let layer_ws =
-      List.init cfg.Configs.layers (tp_declare_layer td cfg ~tp ~strategy)
-    in
-    let final_norm = tp_norm td cfg "final_norm" in
-    let lm_head =
-      List.init tp (fun s ->
-          tp_mat td ~src:"lm_head" ~axis:1 ~shard:s ~tp ~k:h ~n:vs)
-    in
-    let rope_q =
-      Attention.rope_decode ~name:"rope_q" ~batch:bb ~heads:hs ~head_dim:d
-        ~pos:(Arith.Var.fresh "pos") dt
-    in
-    let rope_k =
-      Attention.rope_decode ~name:"rope_k" ~batch:bb ~heads:kvs ~head_dim:d
-        ~pos:(Arith.Var.fresh "pos") dt
-    in
-    let write_kernel =
-      Attention.kv_write ~name:"kv_write" ~batch:bb ~kv_heads:kvs ~head_dim:d
-        ~max_ctx:mmax ~pos:(Arith.Var.fresh "wpos") dt
-    in
-    let attn_kernel =
-      Attention.decode_paged ~name:"attention_paged" ~batch:bb ~heads:hs
-        ~kv_heads:kvs ~head_dim:d ~max_ctx:mmax ~len:(Arith.Var.fresh "alen") dt
-    in
-    let b = Builder.create () in
-    Builder.function_ b ~name:"decode" ~params:td.d.specs (fun params ->
-        Builder.dataflow b (fun () ->
-            let p i = Expr.Var (List.nth params i) in
-            ignore (p len_i);
-            let x =
-              ref (Builder.emit b (Expr.call_op "take" [ p emb_i; p ids_i ]))
-            in
-            List.iteri
-              (fun l lw ->
-                let caches = List.nth cache_is l in
-                let hin = apply_norm b params lw.t_attn_norm (Expr.Var !x) in
-                let at2s =
-                  List.init tp (fun s ->
-                      let ksi, vsi = List.nth caches s in
-                      let q =
-                        Builder.emit b
-                          ~name:(gname s "l%d_wq" l)
-                          (Expr.call_op "matmul"
-                             [ Expr.Var hin; p (List.nth lw.t_wq s) ])
-                      in
-                      let k =
-                        Builder.emit b
-                          ~name:(gname s "l%d_wk" l)
-                          (Expr.call_op "matmul"
-                             [ Expr.Var hin; p (List.nth lw.t_wk s) ])
-                      in
-                      let v =
-                        Builder.emit b
-                          ~name:(gname s "l%d_wv" l)
-                          (Expr.call_op "matmul"
-                             [ Expr.Var hin; p (List.nth lw.t_wv s) ])
-                      in
-                      let q4 =
-                        Builder.emit b
-                          ~name:(gname s "l%d_q4" l)
-                          (Expr.call_op "reshape"
-                             [
-                               Expr.Var q;
-                               Expr.Shape_expr [ bb; c hs; c 1; c d ];
-                             ])
-                      in
-                      let k4 =
-                        Builder.emit b
-                          ~name:(gname s "l%d_k4" l)
-                          (Expr.call_op "reshape"
-                             [
-                               Expr.Var k;
-                               Expr.Shape_expr [ bb; c kvs; c 1; c d ];
-                             ])
-                      in
-                      let v4 =
-                        Builder.emit b
-                          ~name:(gname s "l%d_v4" l)
-                          (Expr.call_op "reshape"
-                             [
-                               Expr.Var v;
-                               Expr.Shape_expr [ bb; c kvs; c 1; c d ];
-                             ])
-                      in
-                      let qr =
-                        Builder.emit_call_tir b rope_q [ Expr.Var q4 ]
-                          ~out:(Struct_info.tensor [ bb; c hs; c 1; c d ] dt)
-                          ~sym_args:[ m ]
-                          ~name:(gname s "l%d_rope_q" l)
-                          ()
-                      in
-                      let kr =
-                        Builder.emit_call_tir b rope_k [ Expr.Var k4 ]
-                          ~out:(Struct_info.tensor [ bb; c kvs; c 1; c d ] dt)
-                          ~sym_args:[ m ]
-                          ~name:(gname s "l%d_rope_k" l)
-                          ()
-                      in
-                      let kc =
-                        Builder.emit_call_tir_inplace b write_kernel
-                          [ Expr.Var kr; p ksi ]
-                          ~out_index:1
-                          ~out:(Struct_info.tensor [ bb; c kvs; mmax; c d ] dt)
-                          ~sym_args:[ m ]
-                          ~name:(gname s "l%d_kv_write_k" l)
-                          ()
-                      in
-                      let vc =
-                        Builder.emit_call_tir_inplace b write_kernel
-                          [ Expr.Var v4; p vsi ]
-                          ~out_index:1
-                          ~out:(Struct_info.tensor [ bb; c kvs; mmax; c d ] dt)
-                          ~sym_args:[ m ]
-                          ~name:(gname s "l%d_kv_write_v" l)
-                          ()
-                      in
-                      let at =
-                        Builder.emit_call_tir b attn_kernel
-                          [ Expr.Var qr; Expr.Var kc; Expr.Var vc ]
-                          ~out:(Struct_info.tensor [ bb; c hs; c 1; c d ] dt)
-                          ~sym_args:[ E.add m (c 1) ]
-                          ~name:(gname s "l%d_attn" l)
-                          ()
-                      in
-                      Builder.emit b
-                        ~name:(gname s "l%d_attn_flat" l)
-                        (Expr.call_op "reshape"
-                           [
-                             Expr.Var at; Expr.Shape_expr [ bb; c (hs * d) ];
-                           ]))
-                in
-                let o = tp_wo b cfg ~tp ~strategy ~l ~rows:bb p lw at2s in
-                let x1 =
-                  Builder.emit b
-                    (Expr.call_op "add" [ Expr.Var !x; Expr.Var o ])
-                in
-                let h2 = apply_norm b params lw.t_ffn_norm (Expr.Var x1) in
-                let dn =
-                  tp_mlp b cfg ~tp ~strategy ~l ~rows:bb p lw (Expr.Var h2)
-                in
-                let x2 =
-                  Builder.emit b
-                    (Expr.call_op "add" [ Expr.Var x1; Expr.Var dn ])
-                in
-                x := x2)
-              layer_ws;
-            let xf = apply_norm b params final_norm (Expr.Var !x) in
-            let lparts =
-              List.init tp (fun s ->
-                  Builder.emit b ~name:(gname s "lm_head")
-                    (Expr.call_op "matmul"
-                       [ Expr.Var xf; p (List.nth lm_head s) ]))
-            in
-            let logits =
-              Builder.emit_call_dps_library b "ccl.all_gather"
-                (List.map (fun v -> Expr.Var v) lparts)
-                ~out:(Struct_info.tensor [ bb; c cfg.Configs.vocab ] dt)
-                ~name:"lm_head_ag" ()
-            in
-            Expr.Var logits));
-    {
-      sbuilt =
-        {
-          mod_ = Builder.module_ b;
-          entry = "decode";
-          ctx_var = m_var;
-          batch_var = None;
-          params = td.d.specs;
-          config = cfg;
-          batch;
-          precision = F16;
-        };
-      srcs = List.rev td.rev_srcs;
-      tp;
-    }
-  end
+  build ?strategy cfg ~step:Paged ~tp ~bb:(c batch) ~batch ~batch_var:None
+    ~return_caches:false F16
 
-let prefill_tp ?(strategy = Gather) ?(return_caches = true) (cfg : Configs.t)
-    ~tp () =
+let prefill_tp ?strategy ?(return_caches = true) (cfg : Configs.t) ~tp () =
   check_tp "prefill_tp" cfg ~tp;
-  if tp = 1 then
-    let b = prefill ~return_caches cfg F16 in
-    { sbuilt = b; srcs = trivial_srcs b; tp = 1 }
-  else begin
-    let n_var = Arith.Var.fresh "n" in
-    let n = E.var n_var in
-    let h = cfg.Configs.hidden in
-    let heads = cfg.Configs.heads and kv = cfg.Configs.kv_heads in
-    let d = cfg.Configs.head_dim in
-    let hs = heads / tp and kvs = kv / tp in
-    let vs = cfg.Configs.vocab / tp in
-    let td = { d = { specs = [] }; rev_srcs = [] } in
-    let ids_i =
-      tdeclare td (Sh_input "ids") "ids"
-        (Struct_info.Tensor { shape = Known [ n ]; dtype = Some Base.Dtype.I32 })
-    in
-    let emb_i =
-      tdeclare td (Sh_replicated "embedding") "embedding"
-        (Struct_info.tensor [ c cfg.Configs.vocab; c h ] dt)
-    in
-    let layer_ws =
-      List.init cfg.Configs.layers (tp_declare_layer td cfg ~tp ~strategy)
-    in
-    let final_norm = tp_norm td cfg "final_norm" in
-    let lm_head =
-      List.init tp (fun s ->
-          tp_mat td ~src:"lm_head" ~axis:1 ~shard:s ~tp ~k:h ~n:vs)
-    in
-    let rope_q =
-      Attention.rope_prefill ~name:"rope_prefill_q" ~heads:hs ~head_dim:d ~n dt
-    in
-    let rope_k =
-      Attention.rope_prefill ~name:"rope_prefill_k" ~heads:kvs ~head_dim:d ~n dt
-    in
-    let attn_kernel =
-      Attention.prefill ~name:"attention_prefill" ~heads:hs ~kv_heads:kvs
-        ~head_dim:d
-        ~n:(E.var (Arith.Var.fresh "na"))
-        dt
-    in
-    let lrk = last_row_kernel ~n:(E.var (Arith.Var.fresh "nl")) ~width:(c h) dt in
-    let b = Builder.create () in
-    (* (n, count*d) -> (count, n, d) *)
-    let to_heads ~nm v ~count =
-      let r3 =
-        Builder.emit b
-          (Expr.call_op "reshape"
-             [ Expr.Var v; Expr.Shape_expr [ n; c count; c d ] ])
-      in
-      Builder.emit b ~name:nm
-        (Expr.call_op "permute_dims"
-           [ Expr.Var r3; Expr.Shape_expr [ c 1; c 0; c 2 ] ])
-    in
-    Builder.function_ b ~name:"prefill" ~params:td.d.specs (fun params ->
-        Builder.dataflow b (fun () ->
-            let p i = Expr.Var (List.nth params i) in
-            let x =
-              ref (Builder.emit b (Expr.call_op "take" [ p emb_i; p ids_i ]))
-            in
-            let caches = ref [] in
-            List.iteri
-              (fun l lw ->
-                let hin = apply_norm b params lw.t_attn_norm (Expr.Var !x) in
-                let at2s_and_kv =
-                  List.init tp (fun s ->
-                      let q =
-                        Builder.emit b
-                          ~name:(gname s "l%d_wq" l)
-                          (Expr.call_op "matmul"
-                             [ Expr.Var hin; p (List.nth lw.t_wq s) ])
-                      in
-                      let k =
-                        Builder.emit b
-                          ~name:(gname s "l%d_wk" l)
-                          (Expr.call_op "matmul"
-                             [ Expr.Var hin; p (List.nth lw.t_wk s) ])
-                      in
-                      let v =
-                        Builder.emit b
-                          ~name:(gname s "l%d_wv" l)
-                          (Expr.call_op "matmul"
-                             [ Expr.Var hin; p (List.nth lw.t_wv s) ])
-                      in
-                      let qh = to_heads ~nm:(gname s "l%d_qh" l) q ~count:hs in
-                      let kh = to_heads ~nm:(gname s "l%d_kh" l) k ~count:kvs in
-                      let vh = to_heads ~nm:(gname s "l%d_vh" l) v ~count:kvs in
-                      let qr =
-                        Builder.emit_call_tir b rope_q [ Expr.Var qh ]
-                          ~out:(Struct_info.tensor [ c hs; n; c d ] dt)
-                          ~name:(gname s "l%d_rope_q" l)
-                          ()
-                      in
-                      let kr =
-                        Builder.emit_call_tir b rope_k [ Expr.Var kh ]
-                          ~out:(Struct_info.tensor [ c kvs; n; c d ] dt)
-                          ~name:(gname s "l%d_rope_k" l)
-                          ()
-                      in
-                      let at =
-                        Builder.emit_call_tir b attn_kernel
-                          [ Expr.Var qr; Expr.Var kr; Expr.Var vh ]
-                          ~out:(Struct_info.tensor [ c hs; n; c d ] dt)
-                          ~name:(gname s "l%d_attn" l)
-                          ()
-                      in
-                      let atp =
-                        Builder.emit b
-                          ~name:(gname s "l%d_attn_t" l)
-                          (Expr.call_op "permute_dims"
-                             [ Expr.Var at; Expr.Shape_expr [ c 1; c 0; c 2 ] ])
-                      in
-                      let at2 =
-                        Builder.emit b
-                          ~name:(gname s "l%d_attn_flat" l)
-                          (Expr.call_op "reshape"
-                             [ Expr.Var atp; Expr.Shape_expr [ n; c (hs * d) ] ])
-                      in
-                      let kc =
-                        Builder.emit b
-                          ~name:(gname s "l%d_kc" l)
-                          (Expr.call_op "reshape"
-                             [
-                               Expr.Var kr;
-                               Expr.Shape_expr [ c 1; c kvs; n; c d ];
-                             ])
-                      in
-                      let vc =
-                        Builder.emit b
-                          ~name:(gname s "l%d_vc" l)
-                          (Expr.call_op "reshape"
-                             [
-                               Expr.Var vh;
-                               Expr.Shape_expr [ c 1; c kvs; n; c d ];
-                             ])
-                      in
-                      (at2, (kc, vc)))
-                in
-                let at2s = List.map fst at2s_and_kv in
-                let o = tp_wo b cfg ~tp ~strategy ~l ~rows:n p lw at2s in
-                let x1 =
-                  Builder.emit b
-                    (Expr.call_op "add" [ Expr.Var !x; Expr.Var o ])
-                in
-                let h2 = apply_norm b params lw.t_ffn_norm (Expr.Var x1) in
-                let dn =
-                  tp_mlp b cfg ~tp ~strategy ~l ~rows:n p lw (Expr.Var h2)
-                in
-                let x2 =
-                  Builder.emit b
-                    (Expr.call_op "add" [ Expr.Var x1; Expr.Var dn ])
-                in
-                x := x2;
-                caches :=
-                  !caches
-                  @ List.concat_map
-                      (fun (_, (kc, vc)) -> [ kc; vc ])
-                      at2s_and_kv)
-              layer_ws;
-            let last =
-              Builder.emit_call_tir b lrk [ Expr.Var !x ]
-                ~out:(Struct_info.tensor [ c 1; c h ] dt)
-                ()
-            in
-            let xf = apply_norm b params final_norm (Expr.Var last) in
-            let lparts =
-              List.init tp (fun s ->
-                  Builder.emit b ~name:(gname s "lm_head")
-                    (Expr.call_op "matmul"
-                       [ Expr.Var xf; p (List.nth lm_head s) ]))
-            in
-            let logits =
-              Builder.emit_call_dps_library b "ccl.all_gather"
-                (List.map (fun v -> Expr.Var v) lparts)
-                ~out:(Struct_info.tensor [ c 1; c cfg.Configs.vocab ] dt)
-                ~name:"lm_head_ag" ()
-            in
-            if return_caches then
-              Expr.Tuple
-                (Expr.Var logits :: List.map (fun v -> Expr.Var v) !caches)
-            else Expr.Var logits));
-    {
-      sbuilt =
-        {
-          mod_ = Builder.module_ b;
-          entry = "prefill";
-          ctx_var = n_var;
-          batch_var = None;
-          params = td.d.specs;
-          config = cfg;
-          batch = 1;
-          precision = F16;
-        };
-      srcs = List.rev td.rev_srcs;
-      tp;
-    }
-  end
+  build ?strategy cfg ~step:Whole ~tp ~bb:(c 1) ~batch:1 ~batch_var:None
+    ~return_caches F16
 
 (* ---------- runtime argument construction ---------- *)
 

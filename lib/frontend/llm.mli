@@ -11,7 +11,12 @@
 
     [decode] builds one generation step for a fixed batch size with a
     symbolic cache length [m]; [prefill] builds whole-sequence
-    processing (batch 1) with symbolic length [n]. *)
+    processing (batch 1) with symbolic length [n].
+
+    Every builder, sharded or not, is one layer generator over [tp]
+    shards ([tp = 1] is the unsharded model); the builders differ only
+    in the attention step (contiguous copy-append, in-place paged
+    write, or whole-sequence attention) and in the shard count. *)
 
 type precision = F16 | Q4 | Q3
 
@@ -96,8 +101,9 @@ val decode_paged_tp :
   ?strategy:tp_strategy -> Configs.t -> batch:int -> tp:int -> unit -> sharded
 (** Sharded {!decode_paged}: per-shard KV caches
     ["k_cache_<l>_g<s>"]/["v_cache_<l>_g<s>"] (kv_heads/tp heads each)
-    in layer-major, shard-minor order. [tp = 1] degenerates to the
-    unsharded builder. @raise Invalid_argument when unsupported. *)
+    in layer-major, shard-minor order. [tp = 1] builds exactly
+    {!decode_paged}'s F16 module. @raise Invalid_argument when
+    unsupported. *)
 
 val prefill_tp :
   ?strategy:tp_strategy ->

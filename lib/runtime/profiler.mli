@@ -28,8 +28,8 @@ type row = {
   mutable origin : string option;
       (** provenance: the Relax binding that produced the call *)
   mutable backend : string;
-      (** execution backend that ran the kernel ("interp" | "closure"
-          | "imp", see {!Tir.Exec}); ["-"] for library routines and
+      (** execution backend that ran the kernel ("interp" | "imp",
+          see {!Tir.Exec}); ["-"] for library routines and
           rows that have not seen a launch *)
 }
 

@@ -78,7 +78,7 @@ type t = {
   kernel_cache : Tir.Exec.Cache.t;
       (* (kernel name, backend-prefixed shape signature) -> compiled
          kernels: a decode loop compiles each kernel once and replays
-         thereafter. The backend (interp/closure/imp) is fixed at VM
+         thereafter. The backend (interp/imp) is fixed at VM
          creation; the imp backend elides bounds checks for kernels
          Analysis.Tir_safety proves memory-safe. *)
   storage_cache : (string * int, int * int) Hashtbl.t;

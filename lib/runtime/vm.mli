@@ -5,8 +5,8 @@
     external library routine, or a runtime builtin (allocation, shape
     binding, graph capture). The same program executes in two modes:
 
-    - [`Numeric]: tensors carry real data; kernels run as compiled
-      OCaml closures ({!Tir.Compile}, cached per shape signature) and
+    - [`Numeric]: tensors carry real data; kernels run through
+      {!Tir.Exec.Cache} (compiled once per shape signature) and
       library routines through their OCaml implementations. Used by
       tests and examples.
     - [`Timed device]: tensors are shape-only shadows; each call
@@ -125,7 +125,7 @@ exception Vm_error of string
     behavior is byte-identical to a fault-free VM.
 
     [backend] selects the kernel execution backend
-    (interp/closure/imp; default {!Tir.Exec.default}, i.e. imp). All
+    (interp/imp; default {!Tir.Exec.default}, i.e. imp). Both
     backends are bit-identical on valid kernels; imp additionally
     elides bounds checks for kernels [Analysis.Tir_safety] proves
     memory-safe. *)

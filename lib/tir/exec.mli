@@ -1,13 +1,13 @@
 (** Kernel execution backends and the backend-aware kernel cache.
 
-    The [--backend interp|closure|imp] selector surfaces here: the VM
-    and the eager baseline execute every kernel through {!Cache.run}
-    with the backend chosen at creation. All three backends are
+    The [--backend interp|imp] selector surfaces here: the VM, the
+    eager baseline and constant folding execute every kernel through
+    {!Cache.run} or {!Imp_compile.run}. Both backends are
     bit-identical on valid programs; [Imp] (the default) additionally
     elides proved-redundant bounds checks when a prover is installed
     (see {!Imp_compile} and DESIGN.md §12). *)
 
-type backend = Interp | Closure | Imp
+type backend = Interp | Imp
 
 val default : backend
 (** [Imp]. *)

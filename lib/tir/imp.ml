@@ -1,7 +1,7 @@
 (* Flat imperative IR ("Imp") and its register-machine evaluator.
 
-   The closure backend ({!Compile}) pays one OCaml closure call per AST
-   node per element. This IR removes that dispatch: a kernel lowers
+   The interpreter ({!Interp}) pays an AST walk with boxed values per
+   element. This IR removes that dispatch: a kernel lowers
    (see {!Imp_compile}) to a single flat [instr array] executed by a
    program-counter loop over unboxed int/float register files, with
    buffer accesses as flat offsets into the raw storage arrays.
@@ -18,8 +18,7 @@
      in-bounds (see the proof-elision contract in DESIGN.md §12).
    - [Fma] is fused at the *dispatch* level only: it computes
      [acc +. (a *. b)] with two IEEE roundings, exactly like the
-     interpreter and the closure backend, so all three backends stay
-     bit-identical.
+     interpreter, so both backends stay bit-identical.
    - Jump targets are absolute instruction indices. {!Imp_compile}
      emits symbolic label ids and resolves them when flattening. *)
 
@@ -27,8 +26,8 @@
    of the existing backends: [Div]/[Fdiv]/[Fmod] are the Texpr-level
    ops raising {!Interp.Runtime_error} on a zero divisor, while
    [Fdivx]/[Fmodx] are the Arith-index-level ops raising
-   [Division_by_zero] (what {!Arith.Expr.eval} and the closure
-   backend's index path do). *)
+   [Division_by_zero] (what {!Arith.Expr.eval} does on the index
+   path). *)
 type ibin =
   | Add
   | Sub
@@ -81,8 +80,7 @@ type fsrc = Sreg of int | Sstream of stream
    maps — into single instructions whose trip loop runs natively.
    Each form performs exactly the per-element operations (same
    association, same rounding order) as the generic lowering, so
-   bit-identity with the interpreter and closure backends is
-   preserved. Loops that match no form take the generic unrolled
+   bit-identity with the interpreter is preserved. Loops that match no form take the generic unrolled
    path. *)
 type floop_op =
   | Lsum of stream  (** acc <- acc +. s[i] *)
@@ -140,7 +138,7 @@ type instr =
       (** jump when iregs.(a) >= iregs.(b): the loop guard *)
   (* scoped scratch buffers: a fresh zeroed array per scope entry,
      released (reset to [||]) at scope exit, like the interpreter's
-     per-execution Ndarray and the closure backend's Alloc slot *)
+     per-execution Ndarray *)
   | Alloc_f of { buf : int; numel : int }
   | Alloc_i of { buf : int; numel : int }
   | Free_f of { buf : int }

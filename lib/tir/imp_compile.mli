@@ -6,14 +6,13 @@
     storage, innermost single-store loops are unrolled by 4 with
     register-promoted accumulators (and dispatch-fused
     multiply-accumulate) for float reductions. Results are
-    bit-identical to {!Interp} and {!Compile} on valid programs
+    bit-identical to {!Interp} on valid programs
     (differential-tested in test/test_compile.ml).
 
     When [elide_bounds] is set — the caller must have proved the
     kernel memory-safe, e.g. via [Analysis.Tir_safety] (see
     DESIGN.md §12) — loads and stores use unchecked array access;
-    otherwise every access keeps OCaml's flat bounds check, exactly
-    like the closure backend. *)
+    otherwise every access keeps OCaml's flat bounds check. *)
 
 type compiled = Base.Ndarray.t list -> unit
 (** A bound kernel: call with arguments whose shapes match the

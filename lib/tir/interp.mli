@@ -29,7 +29,14 @@ val run :
 val eval_shape : (Arith.Var.t -> int) -> Arith.Expr.t list -> int array
 (** Evaluate a symbolic shape under a variable environment. *)
 
+val unify_shapes : (int, int) Hashtbl.t -> Prim_func.t -> int array list -> unit
+(** Bind symbolic shape variables (var id -> concrete value) by
+    unifying declared parameter shapes against concrete argument
+    shapes, exactly as {!run} does. Shared with {!Imp_compile} so both
+    backends resolve signatures identically.
+    @raise Runtime_error on rank or dimension mismatch. *)
+
 val erf : float -> float
 (** The error-function approximation used by [Texpr.Erf]
-    (Abramowitz & Stegun 7.1.26). Shared with {!Compile} so the two
-    execution paths are bit-identical. *)
+    (Abramowitz & Stegun 7.1.26). Shared with {!Imp_compile} so the
+    two execution paths are bit-identical. *)

@@ -178,6 +178,102 @@ let test_llama3_timed_plausible () =
     true
     (per_token_ms > 10.0 && per_token_ms < 60.0)
 
+(* ---------- IR pins ---------- *)
+
+(* MD5 of the printed module of one build per builder variant. The
+   tp = 1 rows pin the exact IR (and so the parameter order that seeds
+   every numeric weight); sharded rows sort the entry parameters first,
+   since Dist.Tp.shard_args routes weights by name, not position. *)
+let ir_digest ?(sort_params = false) (b : Frontend.Llm.built) =
+  let open Relax_core in
+  let m =
+    if not sort_params then b.Frontend.Llm.mod_
+    else
+      Ir_module.map_funcs
+        (fun name (f : Expr.func) ->
+          if name <> b.Frontend.Llm.entry then f
+          else
+            {
+              f with
+              Expr.params =
+                List.sort
+                  (fun x y -> compare (Rvar.name x) (Rvar.name y))
+                  f.Expr.params;
+            })
+        b.Frontend.Llm.mod_
+  in
+  Digest.to_hex (Digest.string (Printer.module_to_string m))
+
+let ir_pins =
+  let open Frontend in
+  let flat label build digest = (label, (fun () -> ir_digest (build ())), digest) in
+  let tp label build digest =
+    ( label,
+      (fun () -> ir_digest ~sort_params:true (build ()).Llm.sbuilt),
+      digest )
+  in
+  [ flat "tiny decode f16"
+      (fun () -> Llm.decode Configs.tiny ~batch:2 Llm.F16)
+      "f79aeaf46c8fbc5984f00bd6ee124172";
+    flat "tiny decode_symbolic_batch f16"
+      (fun () -> Llm.decode_symbolic_batch Configs.tiny Llm.F16)
+      "8fe3ff0ae9cb59442ae286255c44e8d9";
+    flat "tiny decode_paged f16"
+      (fun () -> Llm.decode_paged Configs.tiny ~batch:2 Llm.F16)
+      "67d8d6b12db24bc30894863eb57e9c7b";
+    flat "tiny prefill f16" (fun () -> Llm.prefill Configs.tiny Llm.F16) "273153e855554d427f181ef96c662438";
+    flat "tiny decode_paged q3"
+      (fun () -> Llm.decode_paged Configs.tiny ~batch:2 Llm.Q3)
+      "08514fc43a076db5736df027ba48f7bc";
+    flat "tiny-q decode_paged q4"
+      (fun () -> Llm.decode_paged Configs.tiny_q ~batch:2 Llm.Q4)
+      "5859c9b9896f390868b3dc624e2bf2fb";
+    flat "tiny-q prefill q4" (fun () -> Llm.prefill Configs.tiny_q Llm.Q4) "f127fb99a9ca4d63de8dd4766df5fac9";
+    flat "qwen2-7b decode_paged f16"
+      (fun () -> Llm.decode_paged Configs.qwen2_7b ~batch:1 Llm.F16)
+      "eaadfa07c6c8918c7b57a079a3a141f1";
+    flat "gemma-7b decode_paged f16"
+      (fun () -> Llm.decode_paged Configs.gemma_7b ~batch:1 Llm.F16)
+      "a642727b78d0c57351d5eb1e81214362";
+    flat "redpajama-3b decode_paged q4"
+      (fun () -> Llm.decode_paged Configs.redpajama_3b ~batch:1 Llm.Q4)
+      "953ced6077721d311ad6cab20fd312f0" ]
+  @ List.concat_map
+      (fun (tp_, strategy, sname, d_digest, p_digest) ->
+        [ tp
+            (Printf.sprintf "tiny-tp decode_paged_tp tp=%d %s" tp_ sname)
+            (fun () ->
+              Llm.decode_paged_tp ~strategy Configs.tiny_tp ~batch:2 ~tp:tp_ ())
+            d_digest;
+          tp
+            (Printf.sprintf "tiny-tp prefill_tp tp=%d %s" tp_ sname)
+            (fun () -> Llm.prefill_tp ~strategy Configs.tiny_tp ~tp:tp_ ())
+            p_digest ])
+      [ (2, Llm.Gather, "gather", 
+          "891f1dac9bd3f256153c46e82c65ac50",
+          "b3a8c2df50a70ea0bba44e9020d92328");
+        (2, Llm.Reduce, "reduce", 
+          "ea078e86acf707caf40ad8721e6cbb62",
+          "fe86b4bd183e400ff951ed9b1930c505");
+        (4, Llm.Gather, "gather", 
+          "588434165051a6f78cfc568d964e7bf7",
+          "4400e210a1ea5f1efd26ab9ac018df68");
+        (4, Llm.Reduce, "reduce", 
+          "5ac11c3107a3dc1682ad9ad1b4ed3ae8",
+          "66d0216eab80493ca8a4e4ebc022b80a") ]
+
+let test_ir_pins () =
+  let mismatches =
+    List.filter_map
+      (fun (label, digest, expected) ->
+        let got = digest () in
+        if got = expected then None
+        else Some (Printf.sprintf "%s: expected %s, got %s" label expected got))
+      ir_pins
+  in
+  if mismatches <> [] then
+    Alcotest.failf "printed IR changed:\n%s" (String.concat "\n" mismatches)
+
 let () =
   Alcotest.run "llm"
     [ ( "numeric",
@@ -191,6 +287,7 @@ let () =
           Alcotest.test_case "prefill feeds decode" `Quick
             test_prefill_then_decode_consistency;
           Alcotest.test_case "qkv biases (Qwen2)" `Quick test_qkv_bias_config ] );
+      ("ir", [ Alcotest.test_case "builder IR pins" `Quick test_ir_pins ]);
       ( "timed",
         [ Alcotest.test_case "llama3-8b latency regime" `Quick
             test_llama3_timed_plausible ] ) ]
