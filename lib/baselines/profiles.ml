@@ -43,7 +43,7 @@ let hf_eager =
           graph_capture = false;
         });
     device = id_device;
-    per_launch_overhead_us = Eager.host_overhead_us;
+    per_launch_overhead_us = 12.0;  (* Python + framework dispatch per op *)
     per_step_overhead_us = 60.0;
     static_kv = false;
   }

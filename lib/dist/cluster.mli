@@ -48,11 +48,13 @@
       copy won).
 
     With [health_aware = false] — the health-blind baseline the
-    failover bench compares against — routing ignores the plan
-    entirely and each crashed replica runs its whole assignment
-    through {!Serve.Scheduler} outage windows: its queue strands
-    until the engine restarts. Stall windows degrade step time
-    identically on both paths.
+    failover bench compares against — routing sees every replica
+    [Healthy], so it ignores the plan entirely (it picks exactly what
+    a fault-free dispatch picks), there is no hedging, and each
+    crashed replica runs its whole assignment through
+    {!Serve.Scheduler} outage windows: its queue strands until the
+    engine restarts. Stall windows degrade step time identically on
+    both paths.
 
     When every replica is [Healthy] at every decision point (in
     particular whenever [replica_faults = []]), every policy routes

@@ -293,18 +293,8 @@ let mlp g (cfg : Configs.t) ~l ~rows lw x =
         match lw.w_gate with
         | None -> act (proj "w_up" lw.w_up)
         | Some w_gate ->
-            (* the unsharded MLP projects gate before up, the sharded
-               one up before gate; only the sharded IR digests in
-               test_llm.ml depend on this (the serving and cluster
-               benches do not), which fix the sharded binding order *)
-            let gate, up =
-              if g.tp = 1 then
-                let gate = proj "w_gate" w_gate in
-                (gate, proj "w_up" lw.w_up)
-              else
-                let up = proj "w_up" lw.w_up in
-                (proj "w_gate" w_gate, up)
-            in
+            let gate = proj "w_gate" w_gate in
+            let up = proj "w_up" lw.w_up in
             let a = act gate in
             Builder.emit g.b ?name:(nm "mul")
               (Expr.call_op "multiply" [ Expr.Var a; Expr.Var up ]))
@@ -505,14 +495,7 @@ let layer g (cfg : Configs.t) ~attend ~l ~rows lw x =
         let q = proj "wq" lw.wq bq in
         let k = proj "wk" lw.wk bk in
         let v = proj "wv" lw.wv bv in
-        let at2, caches = attend g ~l ~s q k v in
-        (* the sharded model emits a shard's cache outputs with the
-           shard, the unsharded one after the residual add; pinned by
-           the same sharded IR digests as the MLP order *)
-        if g.tp = 1 then (at2, caches)
-        else
-          let cs = caches () in
-          (at2, fun () -> cs))
+        attend g ~l ~s q k v)
   in
   let o =
     project_out g ~l ~rows

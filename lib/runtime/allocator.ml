@@ -1,4 +1,4 @@
-type kind = [ `Planned | `Pooling | `Naive ]
+type kind = [ `Planned | `Pooling ]
 
 type storage = { size : int }
 
@@ -25,8 +25,6 @@ let create ?fault akind =
     fault;
   }
 
-let kind t = t.akind
-
 let fresh_alloc t bytes =
   let id = t.next_id in
   t.next_id <- t.next_id + 1;
@@ -46,7 +44,7 @@ let alloc t bytes =
       | None -> ())
   | None -> ());
   match t.akind with
-  | `Planned | `Naive -> fresh_alloc t bytes
+  | `Planned -> fresh_alloc t bytes
   | `Pooling -> (
       match List.partition (fun (size, _) -> size = bytes) t.free_pool with
       | (_, id) :: rest_same, others ->
@@ -62,7 +60,7 @@ let free t id =
       | `Pooling ->
           (* Block stays resident in the pool. *)
           t.free_pool <- (size, id) :: t.free_pool
-      | `Planned | `Naive ->
+      | `Planned ->
           Hashtbl.remove t.storages id;
           t.live <- t.live - size)
 
@@ -80,7 +78,3 @@ let fragmentation t =
 
 let peak_bytes t = t.peak
 let alloc_count t = t.allocs
-
-let reset_stats t =
-  t.peak <- t.live;
-  t.allocs <- 0

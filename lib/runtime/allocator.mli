@@ -6,11 +6,10 @@
     - [`Pooling]: a runtime pool that recycles freed blocks by exact
       size — the paper's "without planning" fallback, which grows as
       new dynamic shapes appear.
-    - [`Naive]: allocate/free with no reuse (eager-framework model).
 
     All report live/peak bytes and allocation counts. *)
 
-type kind = [ `Planned | `Pooling | `Naive ]
+type kind = [ `Planned | `Pooling ]
 
 type t
 
@@ -21,8 +20,6 @@ val create : ?fault:Fault.t -> kind -> t
     allocation is not performed and no state changes). Omitted =
     fault-free, byte-identical to the pre-injection behavior. *)
 
-val kind : t -> kind
-
 val alloc : t -> int -> int
 (** [alloc t bytes] returns a storage id. For [`Pooling], a free block
     of the exact size is reused when available.
@@ -32,11 +29,11 @@ val alloc : t -> int -> int
 
 val free : t -> int -> unit
 (** Release the storage id: [`Pooling] returns the block to the pool
-    (still resident); [`Naive]/[`Planned] release the memory. *)
+    (still resident); [`Planned] releases the memory. *)
 
 val size_of : t -> int -> int option
 (** Size in bytes of a still-resident storage id ([None] once a
-    [`Naive]/[`Planned] storage has been freed). *)
+    [`Planned] storage has been freed). *)
 
 val live_bytes : t -> int
 (** Currently resident bytes (pool blocks count as resident). *)
@@ -44,7 +41,7 @@ val live_bytes : t -> int
 val pool_free_bytes : t -> int
 (** Bytes resident in the [`Pooling] free pool — allocated from the
     device but not currently backing any live storage. 0 for
-    [`Planned]/[`Naive]. Admission controllers (the serving engine's
+    [`Planned]. Admission controllers (the serving engine's
     block manager) read this to decide whether a new request's cache
     blocks fit without growing the pool. *)
 
@@ -57,5 +54,3 @@ val fragmentation : t -> float
 val peak_bytes : t -> int
 val alloc_count : t -> int
 (** Number of fresh (non-recycled) allocations performed. *)
-
-val reset_stats : t -> unit

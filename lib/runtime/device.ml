@@ -107,9 +107,9 @@ let peak_gflops t (dt : Base.Dtype.t) =
   | Base.Dtype.U32 | Base.Dtype.I64 | Base.Dtype.Bool ->
       t.peak_gflops_f32
 
-let kernel_time_us t ~flops ~bytes ~compute_eff =
+let kernel_time_us t dtype ~flops ~bytes ~compute_eff =
   (* GFLOP/s = 1e3 FLOP/us; GB/s = 1e3 B/us. *)
-  let compute_us = flops /. (t.peak_gflops_f16 *. compute_eff *. 1e3) in
+  let compute_us = flops /. (peak_gflops t dtype *. compute_eff *. 1e3) in
   let memory_us = bytes /. (t.mem_bw_gbps *. t.mem_eff *. 1e3) in
   Float.max compute_us memory_us
 

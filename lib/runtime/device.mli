@@ -79,8 +79,9 @@ type t = {
 val peak_gflops : t -> Base.Dtype.t -> float
 
 val kernel_time_us :
-  t -> flops:float -> bytes:float -> compute_eff:float -> float
-(** Roofline kernel time, excluding launch overhead. *)
+  t -> Base.Dtype.t -> flops:float -> bytes:float -> compute_eff:float -> float
+(** Roofline kernel time, excluding launch overhead, with compute at
+    the dtype's peak ({!peak_gflops}). *)
 
 val has_library : t -> bool
 

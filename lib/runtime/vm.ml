@@ -147,7 +147,6 @@ let instr_op = function
 let stats t = t.st
 let kernel_cache t = t.kernel_cache
 let allocator t = t.alloc
-let device t = match t.mode with `Timed d -> Some d | `Numeric -> None
 
 let shadow_of_shape dtype dims =
   Shadow { shape = Array.of_list dims; dtype }
@@ -218,77 +217,67 @@ let match_dim t frame (declared : Arith.Expr.t) actual =
           (Trace.Check_shape
              { expr = Arith.Expr.to_string declared; value = actual })
 
-(* Unify a kernel's declared buffer shapes with actual argument shapes
-   to recover its symbolic environment (same discipline as the TIR
-   interpreter, but shape-only so it works on shadows). *)
-let kernel_sym_env (kernel : Tir.Prim_func.t) (arg_shapes : int array list)
-    (sym_args : (Arith.Var.t * int) list) =
-  let env = Hashtbl.create 8 in
-  List.iter (fun ((v : Arith.Var.t), x) -> Hashtbl.replace env v.Arith.Var.id x) sym_args;
-  let deferred = ref [] in
-  (try
-     List.iter2
-       (fun (b : Tir.Buffer.t) shape ->
-         if List.length b.Tir.Buffer.shape <> Array.length shape then
-           fail "kernel %s: rank mismatch on buffer %s" kernel.Tir.Prim_func.name
-             b.Tir.Buffer.name;
-         List.iteri
-           (fun d dim ->
-             match dim with
-             | Arith.Expr.Var v -> (
-                 match Hashtbl.find_opt env v.Arith.Var.id with
-                 | Some bound ->
-                     if bound <> shape.(d) then
-                       fail "kernel %s: inconsistent binding of %s"
-                         kernel.Tir.Prim_func.name (Arith.Var.name v)
-                 | None -> Hashtbl.replace env v.Arith.Var.id shape.(d))
-             | Arith.Expr.Const c ->
-                 if c <> shape.(d) then
-                   fail "kernel %s: buffer %s dim %d expected %d, got %d"
-                     kernel.Tir.Prim_func.name b.Tir.Buffer.name d c shape.(d)
-             | dim -> deferred := (dim, shape.(d)) :: !deferred)
-           b.Tir.Buffer.shape)
-       kernel.Tir.Prim_func.params arg_shapes
-   with Invalid_argument _ ->
-     fail "kernel %s: argument count mismatch" kernel.Tir.Prim_func.name);
-  let lookup (v : Arith.Var.t) =
-    match Hashtbl.find_opt env v.Arith.Var.id with
+(* Bind a kernel's symbolic shape variables from its argument shapes
+   (shape-only, so it works on shadows) and return their lookup; a
+   malformed call is a VM error. *)
+let kernel_sym_env (kernel : Tir.Prim_func.t) arg_shapes sym_args =
+  let sym =
+    try Tir.Interp.bind_shapes ~sym_args kernel arg_shapes
+    with Tir.Interp.Runtime_error msg -> fail "kernel %s" msg
+  in
+  fun (v : Arith.Var.t) ->
+    match Hashtbl.find_opt sym v.Arith.Var.id with
     | Some x -> x
     | None ->
         fail "kernel %s: symbolic variable %s not bound"
           kernel.Tir.Prim_func.name (Arith.Var.name v)
-  in
-  List.iter
-    (fun (dim, actual) ->
-      let v = Arith.Expr.eval lookup dim in
-      if v <> actual then
-        fail "kernel %s: dim %s = %d but argument has %d"
-          kernel.Tir.Prim_func.name (Arith.Expr.to_string dim) v actual)
-    !deferred;
-  lookup
 
-let kernel_cost t name kernel =
-  match Hashtbl.find_opt t.cost_cache name with
-  | Some c -> c
-  | None ->
-      let c = Tir.Cost.analyze kernel in
-      Hashtbl.replace t.cost_cache name c;
-      c
+(* Flops and bytes moved by one launch: the kernel's cached cost
+   expressions evaluated at this call's shapes. *)
+let kernel_work t name kernel lookup =
+  let cost =
+    match Hashtbl.find_opt t.cost_cache name with
+    | Some c -> c
+    | None ->
+        let c = Tir.Cost.analyze kernel in
+        Hashtbl.replace t.cost_cache name c;
+        c
+  in
+  let eval = Arith.Expr.eval lookup in
+  ( eval cost.Tir.Cost.flops,
+    eval cost.Tir.Cost.bytes_read + eval cost.Tir.Cost.bytes_written )
+
+(* Injected device stall: the launch at [site] runs [factor]x slower
+   on the simulated clock. *)
+let stalled t ~site time =
+  match t.fault with
+  | Some inj -> (
+      match Fault.device_stall inj ~site with
+      | Some (ev, factor) ->
+          emit t (Trace.Fault_injected ev);
+          time *. factor
+      | None -> time)
+  | None -> time
+
+(* Charge one launch of roofline [time] at [site]: stall-scaled, plus
+   the launch overhead unless it replays inside a captured graph.
+   Returns the microseconds charged. *)
+let charge t dev ~in_replay ~site time =
+  let time = stalled t ~site time in
+  let overhead = if in_replay then 0.0 else dev.Device.launch_overhead_us in
+  let charged = time +. overhead in
+  t.st.elapsed_us <- t.st.elapsed_us +. charged;
+  charged
 
 (* Charge simulated time for one generated-kernel launch; returns the
    microseconds charged (0 in numeric mode). *)
-let charge_kernel t ~in_replay name kernel lookup dtype =
+let charge_kernel t ~in_replay name kernel lookup =
   t.st.kernel_launches <- t.st.kernel_launches + 1;
   match t.mode with
   | `Numeric -> 0.0
   | `Timed dev ->
-      let cost = kernel_cost t name kernel in
-      let flops = float_of_int (Arith.Expr.eval lookup cost.Tir.Cost.flops) in
-      let bytes =
-        float_of_int
-          (Arith.Expr.eval lookup cost.Tir.Cost.bytes_read
-          + Arith.Expr.eval lookup cost.Tir.Cost.bytes_written)
-      in
+      let flops, bytes = kernel_work t name kernel lookup in
+      let flops = float_of_int flops and bytes = float_of_int bytes in
       (* High-intensity matmul-like generated kernels re-read operands
          that a vendor library would stream once; matrix-vector shapes
          (low intensity) stream trivially and pay no penalty. *)
@@ -299,29 +288,16 @@ let charge_kernel t ~in_replay name kernel lookup dtype =
             dev.Device.gen_gemm_traffic
         | _ -> 1.0
       in
-      let compute_us =
-        flops /. (Device.peak_gflops dev dtype *. dev.Device.gen_eff *. 1e3)
+      let dtype =
+        (* Compute throughput follows the output's dtype: quantized
+           kernels lead with packed integer inputs but do f16 math. *)
+        match List.rev kernel.Tir.Prim_func.params with
+        | out :: _ -> out.Tir.Buffer.dtype
+        | [] -> Base.Dtype.F32
       in
-      let memory_us =
-        bytes *. traffic_factor
-        /. (dev.Device.mem_bw_gbps *. dev.Device.mem_eff *. 1e3)
-      in
-      let time = Float.max compute_us memory_us in
-      let time =
-        (* Injected device stall: this launch runs [stall_factor]x
-           slower on the simulated clock. *)
-        match t.fault with
-        | Some inj -> (
-            match Fault.device_stall inj ~site:name with
-            | Some (ev, factor) ->
-                emit t (Trace.Fault_injected ev);
-                time *. factor
-            | None -> time)
-        | None -> time
-      in
-      let overhead = if in_replay then 0.0 else dev.Device.launch_overhead_us in
-      t.st.elapsed_us <- t.st.elapsed_us +. time +. overhead;
-      time +. overhead
+      charge t dev ~in_replay ~site:name
+        (Device.kernel_time_us dev dtype ~flops
+           ~bytes:(bytes *. traffic_factor) ~compute_eff:dev.Device.gen_eff)
 
 let charge_extern t ~in_replay (impl : Library.impl) shapes dtype =
   t.st.lib_calls <- t.st.lib_calls + 1;
@@ -340,21 +316,8 @@ let charge_extern t ~in_replay (impl : Library.impl) shapes dtype =
         cost.Library.bytes
         /. (dev.Device.mem_bw_gbps *. dev.Device.mem_eff *. mem_factor *. 1e3)
       in
-      let time = Float.max compute_us memory_us in
-      let time =
-        match t.fault with
-        | Some inj -> (
-            match Fault.device_stall inj ~site:impl.Library.name with
-            | Some (ev, factor) ->
-                emit t (Trace.Fault_injected ev);
-                time *. factor
-            | None -> time)
-        | None -> time
-      in
-      let overhead = if in_replay then 0.0 else dev.Device.launch_overhead_us in
-      let charged = time +. overhead in
-      t.st.elapsed_us <- t.st.elapsed_us +. charged;
-      charged
+      charge t dev ~in_replay ~site:impl.Library.name
+        (Float.max compute_us memory_us)
 
 (* Charge a ccl.* collective from the device interconnect link model
    rather than the memory roofline: ring all-reduce moves 2(w-1)/w of
@@ -378,20 +341,7 @@ let charge_collective t ~in_replay func ~world ~bytes =
         | `All_reduce -> Device.all_reduce_us link ~world ~bytes
         | `All_gather -> Device.all_gather_us link ~world ~bytes
       in
-      let time =
-        match t.fault with
-        | Some inj -> (
-            match Fault.device_stall inj ~site:func with
-            | Some (ev, factor) ->
-                emit t (Trace.Fault_injected ev);
-                time *. factor
-            | None -> time)
-        | None -> time
-      in
-      let overhead = if in_replay then 0.0 else dev.Device.launch_overhead_us in
-      let charged = time +. overhead in
-      t.st.elapsed_us <- t.st.elapsed_us +. charged;
-      (charged, wire)
+      (charge t dev ~in_replay ~site:func time, wire)
 
 let find_func t name =
   match List.assoc_opt name t.program.funcs with
@@ -548,13 +498,6 @@ and exec_instr t ~in_replay ~fname ~pc ~prov frame (i : instr) : unit =
           (Array.to_list sym_args)
       in
       let lookup = kernel_sym_env kf shapes sym_bindings in
-      let dtype =
-        (* Compute throughput follows the output's dtype: quantized
-           kernels lead with packed integer inputs but do f16 math. *)
-        match List.rev kf.Tir.Prim_func.params with
-        | out :: _ -> out.Tir.Buffer.dtype
-        | [] -> Base.Dtype.F32
-      in
       (* Injected transient kernel failure: the launch never happens —
          no time is charged, no trace launch event is emitted — and
          the typed error surfaces to the caller's retry policy. *)
@@ -570,15 +513,10 @@ and exec_instr t ~in_replay ~fname ~pc ~prov frame (i : instr) : unit =
                        kernel ))
           | None -> ())
       | None -> ());
-      let charged = charge_kernel t ~in_replay kernel kf lookup dtype in
+      let charged = charge_kernel t ~in_replay kernel kf lookup in
       (match t.trace with
       | Some sink ->
-          let cost = kernel_cost t kernel kf in
-          let flops = Arith.Expr.eval lookup cost.Tir.Cost.flops in
-          let bytes_moved =
-            Arith.Expr.eval lookup cost.Tir.Cost.bytes_read
-            + Arith.Expr.eval lookup cost.Tir.Cost.bytes_written
-          in
+          let flops, bytes_moved = kernel_work t kernel kf lookup in
           sink
             (Trace.Kernel_launch
                {

@@ -146,7 +146,6 @@ val kernel_cache : t -> Tir.Exec.Cache.t
     caches of different backends never alias. *)
 
 val allocator : t -> Allocator.t
-val device : t -> Device.t option
 
 val run : t -> string -> value list -> value
 (** Invoke a VM function by name.

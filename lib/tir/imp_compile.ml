@@ -1137,17 +1137,9 @@ and comp_unrolled ctx var vreg n_reg b idxs v =
 
 type compiled = Base.Ndarray.t list -> unit
 
-let lower_internal ?(sym_args = []) ?(elide_bounds = false) (f : Prim_func.t)
+let lower_internal ?sym_args ?(elide_bounds = false) (f : Prim_func.t)
     (arg_shapes : int array list) =
-  if List.length arg_shapes <> List.length f.Prim_func.params then
-    fail "%s: expected %d buffer arguments, got %d" f.Prim_func.name
-      (List.length f.Prim_func.params)
-      (List.length arg_shapes);
-  let sym = Hashtbl.create 16 in
-  List.iter
-    (fun ((v : Arith.Var.t), x) -> Hashtbl.replace sym v.Arith.Var.id x)
-    sym_args;
-  Interp.unify_shapes sym f arg_shapes;
+  let sym = Interp.bind_shapes ?sym_args f arg_shapes in
   let ctx =
     {
       sym;

@@ -153,13 +153,15 @@ let rec exec env (s : Stmt.t) =
       if not (truth (eval_expr env c)) then fail "assertion failed: %s" msg
   | Stmt.Evaluate e -> ignore (eval_expr env e)
 
-let eval_shape lookup dims =
-  Array.of_list (List.map (Arith.Expr.eval lookup) dims)
-
-(* Bind symbolic variables (var id -> value in [sym]) by unifying
-   declared parameter shapes with actual argument shapes; check
-   non-variable dims once bound. *)
-let unify_shapes sym (f : Prim_func.t) (arg_shapes : int array list) =
+let bind_shapes ?(sym_args = []) (f : Prim_func.t) arg_shapes =
+  if List.length arg_shapes <> List.length f.Prim_func.params then
+    fail "%s: expected %d buffer arguments, got %d" f.Prim_func.name
+      (List.length f.Prim_func.params)
+      (List.length arg_shapes);
+  let sym = Hashtbl.create 16 in
+  List.iter
+    (fun ((v : Arith.Var.t), x) -> Hashtbl.replace sym v.Arith.Var.id x)
+    sym_args;
   let deferred = ref [] in
   List.iter2
     (fun (b : Buffer.t) (actual : int array) ->
@@ -195,18 +197,14 @@ let unify_shapes sym (f : Prim_func.t) (arg_shapes : int array list) =
       if v <> actual then
         fail "%s: buffer %s dim %d: %s = %d but argument has %d"
           f.Prim_func.name bname d (Arith.Expr.to_string dim) v actual)
-    !deferred
+    !deferred;
+  sym
 
-let run ?(sym_args = []) (f : Prim_func.t) args =
-  if List.length args <> List.length f.Prim_func.params then
-    fail "%s: expected %d buffer arguments, got %d" f.Prim_func.name
-      (List.length f.Prim_func.params)
-      (List.length args);
-  let env = { vars = Hashtbl.create 16; bufs = Hashtbl.create 16 } in
-  List.iter
-    (fun (v, x) -> Hashtbl.replace env.vars v.Arith.Var.id x)
-    sym_args;
-  unify_shapes env.vars f (List.map (fun nd -> nd.Base.Ndarray.shape) args);
+let run ?sym_args (f : Prim_func.t) args =
+  let vars =
+    bind_shapes ?sym_args f (List.map (fun nd -> nd.Base.Ndarray.shape) args)
+  in
+  let env = { vars; bufs = Hashtbl.create 16 } in
   List.iter2
     (fun (b : Buffer.t) nd -> Hashtbl.replace env.bufs b.Buffer.id nd)
     f.Prim_func.params args;

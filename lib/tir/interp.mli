@@ -17,24 +17,23 @@ val run :
   Base.Ndarray.t list ->
   unit
 (** [run f args] executes [f] with [args] bound positionally to
-    [f.params] (destination-passing: outputs are mutated in place).
-
-    Symbolic variables are bound by unifying each parameter's declared
-    symbolic shape with the concrete argument shape (a declared
-    dimension that is a bare variable binds it; any other declared
-    dimension is checked by evaluation once all variables are bound).
-
+    [f.params] (destination-passing: outputs are mutated in place),
+    its symbolic variables bound by {!bind_shapes}.
     @raise Runtime_error on any inconsistency. *)
 
-val eval_shape : (Arith.Var.t -> int) -> Arith.Expr.t list -> int array
-(** Evaluate a symbolic shape under a variable environment. *)
-
-val unify_shapes : (int, int) Hashtbl.t -> Prim_func.t -> int array list -> unit
-(** Bind symbolic shape variables (var id -> concrete value) by
-    unifying declared parameter shapes against concrete argument
-    shapes, exactly as {!run} does. Shared with {!Imp_compile} so both
-    backends resolve signatures identically.
-    @raise Runtime_error on rank or dimension mismatch. *)
+val bind_shapes :
+  ?sym_args:(Arith.Var.t * int) list ->
+  Prim_func.t ->
+  int array list ->
+  (int, int) Hashtbl.t
+(** The one binder of a kernel's symbolic variables (used by {!run},
+    {!Imp_compile}, the VM, and the eager baseline through
+    {!Exec.Cache}): seeds the table with [sym_args], checks there is
+    one shape per parameter, binds each declared dimension that is a
+    bare variable and checks every other one once all are bound.
+    Returns the table (var id -> value).
+    @raise Runtime_error on an argument-count, rank or dimension
+    mismatch. *)
 
 val erf : float -> float
 (** The error-function approximation used by [Texpr.Erf]

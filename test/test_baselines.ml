@@ -33,7 +33,7 @@ let test_eager_matches_compiled () =
   let w1 = Base.Ndarray.random_uniform ~seed:2 f32 [| 8; 16 |] in
   let w2 = Base.Ndarray.random_uniform ~seed:3 f32 [| 16; 4 |] in
   let args = [ Runtime.Vm.tensor x; Runtime.Vm.tensor w1; Runtime.Vm.tensor w2 ] in
-  let eager_out, stats = Baselines.Eager.run `Numeric mod_ args in
+  let eager_out, stats = Baselines.Eager.run mod_ args in
   Alcotest.(check int) "eager op count" 3 stats.Baselines.Eager.ops;
   let options =
     { Relax_passes.Pipeline.default_options with
@@ -55,7 +55,7 @@ let test_eager_llm_decode () =
   let built = Frontend.Llm.decode Frontend.Configs.tiny ~batch:1 Frontend.Llm.F16 in
   let args = Frontend.Llm.args_for built ~ctx:3 ~seed:42 ~mode:`Numeric () in
   let eager_out, stats =
-    Baselines.Eager.run ~entry:"decode" `Numeric built.Frontend.Llm.mod_ args
+    Baselines.Eager.run ~entry:"decode" built.Frontend.Llm.mod_ args
   in
   Alcotest.(check bool) "many eager ops" true (stats.Baselines.Eager.ops > 20);
   let options =

@@ -87,7 +87,7 @@ let test_if_matches_eager () =
       let args =
         [ Runtime.Vm.tensor (Base.Ndarray.random_uniform ~seed:(n + 1) f32 [| n; 4 |]) ]
       in
-      let eager_out, _ = Baselines.Eager.run `Numeric mod_ args in
+      let eager_out, _ = Baselines.Eager.run mod_ args in
       let compiled_out = Runtime.Vm.run vm "main" args in
       Alcotest.(check bool)
         (Printf.sprintf "n=%d eager == compiled" n)

@@ -555,6 +555,33 @@ let test_route_determinism_under_faults () =
     "byte-identical on re-dispatch" d
     (Dist.Cluster.dispatch ~model:(Lazy.force model) opts w)
 
+let test_route_health_blind_ignores_plan () =
+  (* The health-blind baseline routes over an always-Healthy view: under
+     a crash + stall plan every policy picks what the fault-free router
+     picks (power-of-two: the same seeded draws); the aware one moves. *)
+  let toks i = [ 1; 2; 3; 100 + (i mod 3) ] in
+  let w =
+    List.init 12 (fun i ->
+        req ?tokens:(if i mod 4 = 3 then None else Some (toks i)) i
+          (float_of_int i *. 20_000.0))
+    @ [ req ~fork:0 ~tokens:(toks 0) 12 250_000.0 ]
+  in
+  let plan = [ crash_w 25_000.0 200_000.0; stall_w ~replica:2 10_000.0 90_000.0 ] in
+  let with_plan health_aware route =
+    Dist.Cluster.dispatch ~model:(Lazy.force model)
+      { (copts route) with Dist.Cluster.replica_faults = plan; health_aware }
+      w
+  in
+  let routes = Dist.Cluster.[ Round_robin; Least_loaded; Power_of_two; Prefix_affinity ] in
+  List.iter
+    (fun route ->
+      Alcotest.(check (list (pair int int)))
+        (Dist.Cluster.route_name route ^ ": blind = fault-free")
+        (dispatch route w) (with_plan false route))
+    routes;
+  Alcotest.(check bool) "the plan moves health-aware picks" true
+    (List.exists (fun route -> with_plan true route <> dispatch route w) routes)
+
 let test_route_affinity_failover_deterministic () =
   (* The hash home crashes: its sessions fall back to survivors
      deterministically while it is Down and return home once it is
@@ -792,6 +819,8 @@ let () =
             test_health_stall_degrades;
           Alcotest.test_case "routing deterministic under faults" `Quick
             test_route_determinism_under_faults;
+          Alcotest.test_case "health-blind routing ignores the plan" `Quick
+            test_route_health_blind_ignores_plan;
           Alcotest.test_case "affinity failover deterministic" `Quick
             test_route_affinity_failover_deterministic;
           Alcotest.test_case "crash drains and re-admits, no loss" `Quick

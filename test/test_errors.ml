@@ -121,6 +121,27 @@ let test_vm_shadow_vs_numeric_mismatch () =
   | _ -> Alcotest.fail "shadow tensor yielded data"
   | exception Runtime.Vm.Vm_error _ -> ()
 
+(* A malformed kernel call is a Vm_error in both modes: the VM re-raises
+   the Runtime_error of Tir.Interp.bind_shapes. *)
+let test_vm_kernel_call_errors () =
+  let k = Tir.Kernels.unary ~name:"id" ~op:(fun x -> x) [ e 4 ] f32 in
+  let t n = Runtime.Vm.tensor (Base.Ndarray.create f32 [| n |]) in
+  List.iter
+    (fun (mode, args, n) ->
+      let instrs =
+        Runtime.Vm.[| Call_kernel { kernel = "id"; args; sym_args = [||] }; Ret 1 |]
+      in
+      let main =
+        { Runtime.Vm.fname = "main"; nparams = 2; nregs = 2; instrs; prov = [||] }
+      in
+      let mod_ = Ir_module.add_tir Ir_module.empty "id" k in
+      let vm = Runtime.Vm.create mode { Runtime.Vm.funcs = [ ("main", main) ]; mod_ } in
+      match Runtime.Vm.run vm "main" [ t n; t 4 ] with
+      | _ -> Alcotest.fail "malformed kernel call accepted"
+      | exception Runtime.Vm.Vm_error _ -> ())
+    [ (`Numeric, [| 0 |], 4); (`Numeric, [| 0; 1 |], 5);
+      (`Timed Runtime.Device.rtx4090, [| 0 |], 4) ]
+
 (* ---------- match_cast runtime check ---------- *)
 
 let test_match_cast_runtime_check () =
@@ -275,5 +296,7 @@ let () =
         [ Alcotest.test_case "runtime failures" `Quick test_vm_errors;
           Alcotest.test_case "shadow has no data" `Quick
             test_vm_shadow_vs_numeric_mismatch;
+          Alcotest.test_case "kernel call errors" `Quick
+            test_vm_kernel_call_errors;
           Alcotest.test_case "match_cast check" `Quick
             test_match_cast_runtime_check ] ) ]

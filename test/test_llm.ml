@@ -250,17 +250,17 @@ let ir_pins =
             (fun () -> Llm.prefill_tp ~strategy Configs.tiny_tp ~tp:tp_ ())
             p_digest ])
       [ (2, Llm.Gather, "gather", 
-          "891f1dac9bd3f256153c46e82c65ac50",
-          "b3a8c2df50a70ea0bba44e9020d92328");
+          "f243334325266cc49e6a8a5e8e856464",
+          "f2c647ab8247508dfd2f010961566eb1");
         (2, Llm.Reduce, "reduce", 
-          "ea078e86acf707caf40ad8721e6cbb62",
-          "fe86b4bd183e400ff951ed9b1930c505");
+          "d1e6e5bd55f1fdfb91563ef5b2a35303",
+          "7981220d088d83186cc7cbf214e4bd75");
         (4, Llm.Gather, "gather", 
-          "588434165051a6f78cfc568d964e7bf7",
-          "4400e210a1ea5f1efd26ab9ac018df68");
+          "d4c30729bfd9176effa85bd2f29016f5",
+          "cd3e56cf4b7dc9e6c6d4051bc57a9831");
         (4, Llm.Reduce, "reduce", 
-          "5ac11c3107a3dc1682ad9ad1b4ed3ae8",
-          "66d0216eab80493ca8a4e4ebc022b80a") ]
+          "70f44562d564a97cd46dc091154a105a",
+          "435ca4c696ee60fdf9cb149f003f6204") ]
 
 let test_ir_pins () =
   let mismatches =

@@ -156,7 +156,7 @@ let prop_compiled_matches_eager =
       let mod_, nv = build_program p in
       Well_formed.assert_well_formed mod_;
       let args = inputs_for p.n_value 7 in
-      let eager_out, _ = Baselines.Eager.run `Numeric mod_ args in
+      let eager_out, _ = Baselines.Eager.run mod_ args in
       let options =
         {
           Relax_passes.Pipeline.default_options with
@@ -193,7 +193,7 @@ let prop_repeat_invocations_consistent =
       List.for_all
         (fun n ->
           let args = inputs_for n 11 in
-          let eager_out, _ = Baselines.Eager.run `Numeric mod_ args in
+          let eager_out, _ = Baselines.Eager.run mod_ args in
           value_close eager_out (Runtime.Vm.run vm "main" args))
         [ p.n_value; ((p.n_value + 3) mod 8) + 1; p.n_value ])
 

@@ -12,8 +12,8 @@ let f32 = Base.Dtype.F32
 (* ---------- allocator ---------- *)
 
 let test_allocator_kinds () =
-  (* Naive: free releases memory. *)
-  let a = Runtime.Allocator.create `Naive in
+  (* Planned: free releases memory. *)
+  let a = Runtime.Allocator.create `Planned in
   let id1 = Runtime.Allocator.alloc a 100 in
   let _id2 = Runtime.Allocator.alloc a 50 in
   Alcotest.(check int) "live" 150 (Runtime.Allocator.live_bytes a);
@@ -65,26 +65,26 @@ let test_allocator_pool_introspection () =
       let id = Runtime.Allocator.alloc a 64 in
       Runtime.Allocator.free a id;
       Alcotest.(check int) "no pool" 0 (Runtime.Allocator.pool_free_bytes a))
-    [ `Naive; `Planned ]
+    [ `Planned ]
 
 (* ---------- device roofline ---------- *)
 
 let test_device_roofline () =
   let d = Runtime.Device.rtx4090 in
   (* Memory-bound: huge bytes, no flops. *)
-  let m = Runtime.Device.kernel_time_us d ~flops:0.0 ~bytes:1e9 ~compute_eff:0.5 in
+  let m = Runtime.Device.kernel_time_us d Base.Dtype.F16 ~flops:0.0 ~bytes:1e9 ~compute_eff:0.5 in
   Alcotest.(check bool) "1 GB takes about a millisecond" true
     (m > 1000.0 && m < 2000.0);
   (* Compute-bound: huge flops, no bytes. *)
-  let c = Runtime.Device.kernel_time_us d ~flops:1e12 ~bytes:0.0 ~compute_eff:0.5 in
+  let c = Runtime.Device.kernel_time_us d Base.Dtype.F16 ~flops:1e12 ~bytes:0.0 ~compute_eff:0.5 in
   Alcotest.(check bool) "1 TFLOP in the ~12 ms regime" true
     (c > 8000.0 && c < 20000.0);
   (* Roofline is the max of the two. *)
-  let both = Runtime.Device.kernel_time_us d ~flops:1e12 ~bytes:1e9 ~compute_eff:0.5 in
+  let both = Runtime.Device.kernel_time_us d Base.Dtype.F16 ~flops:1e12 ~bytes:1e9 ~compute_eff:0.5 in
   Alcotest.(check (float 1e-6)) "max of compute and memory" (Float.max m c) both;
   (* Monotone in both inputs. *)
   Alcotest.(check bool) "monotone in bytes" true
-    (Runtime.Device.kernel_time_us d ~flops:0.0 ~bytes:2e9 ~compute_eff:0.5 > m);
+    (Runtime.Device.kernel_time_us d Base.Dtype.F16 ~flops:0.0 ~bytes:2e9 ~compute_eff:0.5 > m);
   Alcotest.(check bool) "every preset is findable by name" true
     (List.for_all
        (fun (p : Runtime.Device.t) ->

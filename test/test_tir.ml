@@ -200,6 +200,24 @@ let test_interp_errors () =
   | () -> Alcotest.fail "expected arity error"
   | exception Tir.Interp.Runtime_error _ -> ()
 
+(* [bind_shapes] seeds [sym_args] before unifying (no dimension below
+   is the bare variable n, so only the seed binds it) and rejects a
+   wrong argument count. *)
+let test_bind_shapes () =
+  let nv = sym "n" in
+  let two_n = Arith.Expr.mul (Arith.Expr.var nv) (e 2) in
+  let params = [ Tir.Buffer.create "X" [ two_n ] f32; Tir.Buffer.create "Y" [ two_n ] f32 ] in
+  let k = Tir.Prim_func.create ~sym_params:[ nv ] ~name:"id2" ~params (Tir.Stmt.Seq []) in
+  let bind n shapes () = Tir.Interp.bind_shapes ~sym_args:[ (nv, n) ] k shapes in
+  Alcotest.(check (option int)) "seeded variable" (Some 3)
+    (Hashtbl.find_opt (bind 3 [ [| 6 |]; [| 6 |] ] ()) nv.Arith.Var.id);
+  Alcotest.check_raises "seed checked against shapes"
+    (Tir.Interp.Runtime_error "id2: buffer Y dim 0: n * 2 = 4 but argument has 6")
+    (fun () -> ignore (bind 2 [ [| 6 |]; [| 6 |] ] ()));
+  Alcotest.check_raises "argument count"
+    (Tir.Interp.Runtime_error "id2: expected 2 buffer arguments, got 1")
+    (fun () -> ignore (bind 3 [ [| 6 |] ] ()))
+
 (* ---------- pattern analysis (Algorithm 1) ---------- *)
 
 let classify = Tir.Pattern.classify
@@ -502,7 +520,8 @@ let () =
           Alcotest.test_case "take" `Quick test_interp_take;
           Alcotest.test_case "decode_q4" `Quick test_interp_decode_q4;
           Alcotest.test_case "split-k" `Quick test_interp_split_k;
-          Alcotest.test_case "errors" `Quick test_interp_errors ] );
+          Alcotest.test_case "errors" `Quick test_interp_errors;
+          Alcotest.test_case "bind_shapes" `Quick test_bind_shapes ] );
       ( "pattern",
         [ Alcotest.test_case "classification" `Quick test_patterns;
           Alcotest.test_case "annotate" `Quick test_pattern_annotate ] );

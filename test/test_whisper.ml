@@ -52,7 +52,7 @@ let test_whisper_decoder_matches_eager () =
   let dec = Frontend.Whisper.decoder_step s in
   let args = Frontend.Whisper.decoder_args dec ~ctx:2 ~mode:(`Numeric 21) in
   let eager_out, _ =
-    Baselines.Eager.run ~entry:dec.Frontend.Whisper.entry `Numeric
+    Baselines.Eager.run ~entry:dec.Frontend.Whisper.entry
       dec.Frontend.Whisper.mod_ args
   in
   let program =
