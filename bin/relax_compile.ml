@@ -185,7 +185,7 @@ let run_serve cfg (device : Runtime.Device.t) precision ~max_batch ~rate
       else []
     in
     let copts =
-      { Dist.Cluster.default_opts with
+      {
         Dist.Cluster.replicas;
         route;
         affinity_window = max 64 (mmax / 4);

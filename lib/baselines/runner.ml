@@ -68,20 +68,3 @@ let step_us (profile : Profiles.t) ~device workload ~ctx =
     in
     Some per_step
   end
-
-let memory_stats ~plan ~device workload ~ctxs =
-  let options =
-    {
-      Relax_passes.Pipeline.default_options with
-      Relax_passes.Pipeline.upper_bounds = workload.bounds;
-      memory_plan = plan;
-      graph_capture = plan;
-    }
-  in
-  let program = Relax_passes.Pipeline.compile ~options ~device workload.mod_ in
-  let alloc = Runtime.Allocator.create (if plan then `Planned else `Pooling) in
-  let vm = Runtime.Vm.create ~allocator:alloc (`Timed device) program in
-  List.iter
-    (fun ctx -> ignore (Runtime.Vm.run vm workload.entry (workload.args ~ctx)))
-    ctxs;
-  (Runtime.Allocator.peak_bytes alloc, Runtime.Allocator.alloc_count alloc)

@@ -24,14 +24,3 @@ val step_us :
     profile's host overheads. [None] when the profile does not
     support the device. A static-KV profile is charged at
     [min max_context 2048] cache length. *)
-
-val memory_stats :
-  plan:bool ->
-  device:Runtime.Device.t ->
-  workload ->
-  ctxs:int list ->
-  int * int
-(** [(peak_bytes, alloc_count)] after running the workload at the
-    successive context lengths — Table 2's measurement. [plan] picks
-    static planning + planned allocator vs no planning + runtime
-    pool. *)

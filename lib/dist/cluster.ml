@@ -46,13 +46,11 @@ type opts = {
   replicas : int;
   route : route;
   affinity_window : int;
-  route_seed : int;
   sched : Scheduler.opts;
   replica_faults : Fault.plan;
   health : Health.opts;
   health_aware : bool;
   hedge : bool;
-  max_migrations : int;
 }
 
 let default_opts =
@@ -60,14 +58,17 @@ let default_opts =
     replicas = 2;
     route = Round_robin;
     affinity_window = 64;
-    route_seed = 0;
     sched = Scheduler.default_opts;
     replica_faults = [];
     health = Health.default_opts;
     health_aware = true;
     hedge = false;
-    max_migrations = 2;
   }
+
+(* The power-of-two sampler's PRNG seed, and the failover budget: a
+   request drained more than [max_migrations] times is aborted. *)
+let route_seed = 0
+let max_migrations = 2
 
 (* 32-bit FNV-1a over token ids (4 little-endian bytes each). Not
    Hashtbl.hash: the routing goldens must not move across OCaml
@@ -108,7 +109,7 @@ let make_router opts =
   {
     busy_until = Array.make opts.replicas 0.0;
     rr = 0;
-    rng = Random.State.make [| opts.route_seed |];
+    rng = Random.State.make [| route_seed |];
     assigned = Hashtbl.create 64;
   }
 
@@ -472,7 +473,7 @@ let run ?trace ?exec ~model opts (w : Workload.t) =
         Hashtbl.replace migcount d.Workload.id n;
         if not (Hashtbl.mem orig_arrival d.Workload.id) then
           Hashtbl.replace orig_arrival d.Workload.id d.Workload.arrival_us;
-        if n > opts.max_migrations then
+        if n > max_migrations then
           mig_aborted := d.Workload.id :: !mig_aborted
         else begin
           let pick = route_pick ~opts ~rt ~state d ~t:td in

@@ -20,7 +20,7 @@
     / stall / partition windows). {!Health} simulates the heartbeat
     prober against the plan up front, so the per-replica health
     timeline — like everything else about routing — is a pure function
-    of (workload, policy, seed, plan).
+    of (workload, policy, plan).
 
     With [health_aware = true] (default):
     - no policy routes to a replica believed [Down]; [Degraded]
@@ -34,10 +34,10 @@
       requests it drains re-enter routing at the detection time on
       surviving replicas, KV recomputed from scratch (vLLM-style
       recompute preemption lifted across replicas). Each request
-      migrates at most [max_migrations] times; past that it is
-      aborted. The post-recovery era is a fresh engine incarnation —
-      a restarted engine has no KV either, so era isolation is the
-      correct restart semantics, not an approximation;
+      migrates at most twice; past that it is aborted. The
+      post-recovery era is a fresh engine incarnation — a restarted
+      engine has no KV either, so era isolation is the correct
+      restart semantics, not an approximation;
     - crash blips too short for the prober to detect are handed to
       the era run as engine-side outage windows instead — nothing
       drains, nothing is lost;
@@ -67,8 +67,8 @@ type route =
   | Least_loaded  (** smallest estimated backlog at arrival; ties
                       break to the lowest replica index *)
   | Power_of_two
-      (** sample two distinct replicas from the seeded router PRNG,
-          take the less loaded (ties keep the first draw) *)
+      (** sample two distinct replicas from the router PRNG (fixed
+          seed 0), take the less loaded (ties keep the first draw) *)
   | Prefix_affinity
       (** FNV-1a hash of the first [affinity_window] prompt tokens
           modulo M, so requests sharing a prompt prefix land on the
@@ -87,7 +87,6 @@ type opts = {
       (** prompt-prefix length hashed by {!Prefix_affinity}; must
           exceed the shared system-prompt length for chat workloads
           to spread across replicas at all *)
-  route_seed : int;  (** PRNG seed for {!Power_of_two} *)
   sched : Serve.Scheduler.opts;  (** per-replica engine options *)
   replica_faults : Runtime.Fault.plan;
       (** scheduled replica-scoped fault windows; [[]] (default)
@@ -102,15 +101,12 @@ type opts = {
       (** duplicate requests routed to Degraded replicas onto the
           least-backlogged Healthy one; earliest finish wins.
           Default [false]. *)
-  max_migrations : int;
-      (** per-request failover budget; a request drained more than
-          this many times is aborted. Default 2. *)
 }
 
 val default_opts : opts
-(** 2 replicas, round-robin, 64-token affinity window, seed 0,
+(** 2 replicas, round-robin, 64-token affinity window,
     {!Serve.Scheduler.default_opts} engines, no fault plan,
-    {!Health.default_opts}, health-aware, no hedging, 2 migrations. *)
+    {!Health.default_opts}, health-aware, no hedging. *)
 
 val fnv1a : int list -> int
 (** 32-bit FNV-1a over token ids (4 little-endian bytes each) —
@@ -124,7 +120,7 @@ val dispatch :
 (** The routing phase alone: [(request id, replica)] in arrival
     order, health-aware against the precomputed timeline but with no
     engines run — so no failover re-admission happens here. The
-    determinism golden pins this: same (workload, policy, seed, plan)
+    determinism golden pins this: same (workload, policy, plan)
     → byte-equal decisions, even as the healthy set changes
     mid-stream. Runs nothing beyond the shared cost-model VMs.
     @raise Invalid_argument if [replicas < 1]. *)

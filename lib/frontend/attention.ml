@@ -7,11 +7,14 @@ let c = E.const
 (* kv head serving query head [h]: h // (heads / kv_heads). *)
 let group_of h ~heads ~kv_heads = E.floor_div h (c (heads / kv_heads))
 
-let decode ~name ~batch ~heads ~kv_heads ~head_dim ~m dtype =
+(* Single-query attention: K and V hold [kv_len] positions and the
+   score, softmax and output loops read the first [m] of them. *)
+let decode_with ~name ~batch ~heads ~kv_heads ~head_dim ~kv_len ~m ~sym_params
+    dtype =
   let b = batch and d = c head_dim in
   let q = Tir.Buffer.create "Q" [ b; c heads; c 1; d ] dtype in
-  let k = Tir.Buffer.create "K" [ b; c kv_heads; m; d ] dtype in
-  let v = Tir.Buffer.create "V" [ b; c kv_heads; m; d ] dtype in
+  let k = Tir.Buffer.create "K" [ b; c kv_heads; kv_len; d ] dtype in
+  let v = Tir.Buffer.create "V" [ b; c kv_heads; kv_len; d ] dtype in
   let o = Tir.Buffer.create "O" [ b; c heads; c 1; d ] dtype in
   let s = Tir.Buffer.create ~scope:Tir.Buffer.Shared "s" [ b; c heads; m ] dtype in
   let mx = Tir.Buffer.create ~scope:Tir.Buffer.Shared "mx" [ b; c heads ] dtype in
@@ -81,8 +84,12 @@ let decode ~name ~batch ~heads ~kv_heads ~head_dim ~m dtype =
                 out_loop ]
         | _ -> assert false)
   in
-  Tir.Prim_func.create ~name ~params:[ q; k; v; o ]
+  Tir.Prim_func.create ~sym_params ~name ~params:[ q; k; v; o ]
     (S.Alloc (s, S.Alloc (mx, S.Alloc (sm, body))))
+
+let decode ~name ~batch ~heads ~kv_heads ~head_dim ~m dtype =
+  decode_with ~name ~batch ~heads ~kv_heads ~head_dim ~kv_len:m ~m
+    ~sym_params:[] dtype
 
 let prefill ?(causal = true) ~name ~heads ~kv_heads ~head_dim ~n dtype =
   let d = c head_dim in
@@ -210,72 +217,8 @@ let kv_write ~name ~batch ~kv_heads ~head_dim ~max_ctx ~pos dtype =
   Tir.Prim_func.create ~sym_params:[ pos ] ~name ~params:[ fresh; cache ] body
 
 let decode_paged ~name ~batch ~heads ~kv_heads ~head_dim ~max_ctx ~len dtype =
-  let b = batch and d = c head_dim in
-  let q = Tir.Buffer.create "Q" [ b; c heads; c 1; d ] dtype in
-  let k = Tir.Buffer.create "K" [ b; c kv_heads; max_ctx; d ] dtype in
-  let v = Tir.Buffer.create "V" [ b; c kv_heads; max_ctx; d ] dtype in
-  let o = Tir.Buffer.create "O" [ b; c heads; c 1; d ] dtype in
-  let m = E.var len in
-  let s = Tir.Buffer.create ~scope:Tir.Buffer.Shared "s" [ b; c heads; m ] dtype in
-  let mx = Tir.Buffer.create ~scope:Tir.Buffer.Shared "mx" [ b; c heads ] dtype in
-  let sm = Tir.Buffer.create ~scope:Tir.Buffer.Shared "sm" [ b; c heads ] dtype in
-  let scale = 1.0 /. sqrt (float_of_int head_dim) in
-  let body =
-    S.grid
-      [ ("bb", b); ("hh", c heads) ]
-      (fun idx ->
-        match idx with
-        | [ bb; hh ] ->
-            let g = group_of hh ~heads ~kv_heads in
-            let j = Arith.Var.fresh "j" in
-            let ej = E.var j in
-            let dd = Arith.Var.fresh "dd" in
-            let ed = E.var dd in
-            let bh ixs = List.map T.idx ([ bb; hh ] @ ixs) in
-            S.seq
-              [ S.Store (mx, bh [], T.f neg_infinity);
-                S.for_ j m
-                  (S.seq
-                     [ S.Store (s, bh [ ej ], T.f 0.0);
-                       S.for_ dd d
-                         (S.Store
-                            ( s,
-                              bh [ ej ],
-                              T.(
-                                Load (s, bh [ ej ])
-                                +. (load q [ bb; hh; c 0; ed ]
-                                   *. load k [ bb; g; ej; ed ])) ));
-                       S.Store (s, bh [ ej ], T.(Load (s, bh [ ej ]) *. f scale));
-                       S.Store
-                         ( mx,
-                           bh [],
-                           T.Binop (T.Max, T.Load (mx, bh []), T.Load (s, bh [ ej ]))
-                         ) ]);
-                S.Store (sm, bh [], T.f 0.0);
-                S.for_ j m
-                  (S.seq
-                     [ S.Store
-                         ( s,
-                           bh [ ej ],
-                           T.(Unop (Exp, Load (s, bh [ ej ]) -. Load (mx, bh []))) );
-                       S.Store
-                         (sm, bh [], T.(Load (sm, bh []) +. Load (s, bh [ ej ]))) ]);
-                S.for_ dd d
-                  (S.seq
-                     [ S.Store (o, bh [ c 0; ed ], T.f 0.0);
-                       S.for_ j m
-                         (S.Store
-                            ( o,
-                              bh [ c 0; ed ],
-                              T.(
-                                Load (o, bh [ c 0; ed ])
-                                +. (Load (s, bh [ ej ])
-                                    /. Load (sm, bh [])
-                                   *. load v [ bb; g; ej; ed ])) )) ]) ]
-        | _ -> assert false)
-  in
-  Tir.Prim_func.create ~sym_params:[ len ] ~name ~params:[ q; k; v; o ]
-    (S.Alloc (s, S.Alloc (mx, S.Alloc (sm, body))))
+  decode_with ~name ~batch ~heads ~kv_heads ~head_dim ~kv_len:max_ctx
+    ~m:(E.var len) ~sym_params:[ len ] dtype
 
 (* theta_j = 10000^(-2j/d) for the pair index j = dd / 2. *)
 let rope_theta dd head_dim =

@@ -10,10 +10,9 @@ type t = {
   mutable live : int;
   mutable peak : int;
   mutable allocs : int;
-  fault : Fault.t option;
 }
 
-let create ?fault akind =
+let create akind =
   {
     akind;
     storages = Hashtbl.create 64;
@@ -22,7 +21,6 @@ let create ?fault akind =
     live = 0;
     peak = 0;
     allocs = 0;
-    fault;
   }
 
 let fresh_alloc t bytes =
@@ -35,14 +33,6 @@ let fresh_alloc t bytes =
   id
 
 let alloc t bytes =
-  (match t.fault with
-  | Some inj -> (
-      match Fault.alloc_oom inj ~site:"alloc" with
-      | Some _ ->
-          Fault.errorf Fault.Resource_exhausted
-            "injected allocator OOM (%d bytes requested, %d live)" bytes t.live
-      | None -> ())
-  | None -> ());
   match t.akind with
   | `Planned -> fresh_alloc t bytes
   | `Pooling -> (

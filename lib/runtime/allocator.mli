@@ -13,19 +13,11 @@ type kind = [ `Planned | `Pooling ]
 
 type t
 
-val create : ?fault:Fault.t -> kind -> t
-(** [?fault] arms the allocator with a seeded {!Fault} injector:
-    every {!alloc} first draws an OOM-spike fault and raises
-    {!Fault.Error}[ (Resource_exhausted, _)] when it fires (the
-    allocation is not performed and no state changes). Omitted =
-    fault-free, byte-identical to the pre-injection behavior. *)
+val create : kind -> t
 
 val alloc : t -> int -> int
 (** [alloc t bytes] returns a storage id. For [`Pooling], a free block
-    of the exact size is reused when available.
-
-    @raise Fault.Error [(Resource_exhausted, _)] when an armed
-    injector's OOM draw fires (see {!create}). *)
+    of the exact size is reused when available. *)
 
 val free : t -> int -> unit
 (** Release the storage id: [`Pooling] returns the block to the pool

@@ -1,11 +1,11 @@
 (* Seeded fault injection + the typed failure taxonomy.
 
-   A single injector owns one PRNG stream; every consulting component
-   (Vm, Allocator, the serving scheduler) draws from it in program
-   order, so a (config, program) pair fully determines the fault
-   schedule. Draws with probability 0 skip the PRNG entirely: a config
-   with one knob turned leaves the other kinds' schedules unchanged,
-   and an all-zero config is indistinguishable from no injector. *)
+   A single injector owns one PRNG stream; the serving scheduler draws
+   from it at its step-boundary injection points in program order, so
+   a (config, workload) pair fully determines the fault schedule.
+   Draws with probability 0 skip the PRNG entirely: a config with one
+   knob turned leaves the other kinds' schedules unchanged, and an
+   all-zero config is indistinguishable from no injector. *)
 
 type config = {
   seed : int;
@@ -25,9 +25,6 @@ let disabled =
     oom_p = 0.0;
     nan_p = 0.0;
   }
-
-let enabled c =
-  c.kernel_fail_p > 0.0 || c.stall_p > 0.0 || c.oom_p > 0.0 || c.nan_p > 0.0
 
 type kind =
   | Kernel_failure
@@ -79,7 +76,16 @@ let create config =
 
 let config t = t.config
 
-let draw t p kind site =
+(* Replica kinds are planned windows (below), never drawn. *)
+let probability c = function
+  | Kernel_failure -> c.kernel_fail_p
+  | Device_stall -> c.stall_p
+  | Alloc_oom -> c.oom_p
+  | Nan_corruption -> c.nan_p
+  | Replica_crash | Replica_stall | Replica_partition -> 0.0
+
+let draw t kind ~site =
+  let p = probability t.config kind in
   if p <= 0.0 then None
   else if Random.State.float t.st 1.0 < p then begin
     let ev = { seq = t.seq; site; kind } in
@@ -89,15 +95,6 @@ let draw t p kind site =
   end
   else None
 
-let kernel_failure t ~site = draw t t.config.kernel_fail_p Kernel_failure site
-
-let device_stall t ~site =
-  match draw t t.config.stall_p Device_stall site with
-  | Some ev -> Some (ev, t.config.stall_factor)
-  | None -> None
-
-let alloc_oom t ~site = draw t t.config.oom_p Alloc_oom site
-let nan_corruption t ~site = draw t t.config.nan_p Nan_corruption site
 let injected_total t = t.seq
 let injected t kind = t.counts.(kind_index kind)
 

@@ -5,13 +5,14 @@
     stall, allocations spike past the budget and vendor libraries
     corrupt outputs. This module gives those failures first-class,
     *testable* semantics: an injector is a seeded PRNG (never
-    [Random.self_init]) consulted at well-defined injection points by
-    the {!Vm} (kernel launches, extern calls, device timing), the
-    {!Allocator} (allocation) and, at step granularity, the serving
-    scheduler. Every fired injection is a typed {!event} with a
-    stream-wide sequence number; the consulting component records it
-    through {!Trace.Fault_injected}, so chaos runs are replayable and
-    two runs with the same seed produce identical fault schedules.
+    [Random.self_init]) that the serving scheduler consults at its
+    step-boundary injection points (prefill and decode steps, KV
+    admission and growth, each decoded token). Every fired injection
+    is a typed {!event} with a stream-wide sequence number; the
+    scheduler records it through {!Trace.Fault_injected}, so chaos
+    runs are replayable and two runs with the same seed produce
+    identical fault schedules. Cluster-scope faults are planned
+    windows instead (below).
 
     All probabilities default to 0; a draw with probability 0 does
     not consume PRNG state, so enabling one fault kind leaves the
@@ -21,27 +22,22 @@
 type config = {
   seed : int;  (** PRNG seed; same seed = same fault schedule *)
   kernel_fail_p : float;
-      (** per-launch probability of a transient kernel failure
-          (raises {!Error}[ (Transient, _)] at the consulting site) *)
+      (** per-step probability of a transient failure: the prefill or
+          decode step's time is wasted and it is retried *)
   stall_p : float;
       (** per-step probability of a device stall: the step's
           simulated time is multiplied by [stall_factor] *)
   stall_factor : float;  (** latency multiplier while stalled, > 1 *)
   oom_p : float;
-      (** per-allocation probability of an OOM spike (raises
-          {!Error}[ (Resource_exhausted, _)] from {!Allocator.alloc},
-          or fails a KV-block grow in the scheduler) *)
+      (** per-KV-allocation probability of an OOM spike: the admit or
+          grow fails as if the KV pool were exhausted *)
   nan_p : float;
-      (** per-extern-call probability of NaN output corruption
-          ({!Library.poison} on the output tensor in numeric mode;
-          [Corrupt_output] retry at the serving layer) *)
+      (** per-token probability of corrupt output: the token is
+          discarded and regenerated, spending one retry attempt *)
 }
 
 val disabled : config
 (** Seed 0, every probability 0.0, stall factor 4.0. *)
-
-val enabled : config -> bool
-(** Any probability strictly positive. *)
 
 type kind =
   | Kernel_failure
@@ -70,7 +66,9 @@ val kind_index : kind -> int
 
 type event = {
   seq : int;  (** 0-based injection sequence number within this injector *)
-  site : string;  (** where it fired (kernel name, "prefill", "alloc", ...) *)
+  site : string;
+      (** where it fired: "prefill", "decode", "kv-admit", "kv-grow",
+          or a replica window ({!window_event}) *)
   kind : kind;
 }
 
@@ -80,20 +78,16 @@ type t
 val create : config -> t
 val config : t -> config
 
-(** {1 Draws}
+(** {1 Draws} *)
 
-    Each draw consults the PRNG iff the corresponding probability is
-    positive, and returns [Some event] when the fault fires (also
-    bumping the injector's counters). Callers are responsible for
+val draw : t -> kind -> site:string -> event option
+(** [draw t kind ~site] reads [kind]'s probability from the config,
+    consults the PRNG iff it is positive, and returns [Some event]
+    when the fault fires (also bumping the injector's counters). The
+    [Replica_*] kinds are planned windows, never drawn: they return
+    [None] and consume no PRNG state. Callers are responsible for
     recording the event (e.g. through {!Trace.Fault_injected}) and
-    acting on it. *)
-
-val kernel_failure : t -> site:string -> event option
-val device_stall : t -> site:string -> (event * float) option
-(** The float is the configured [stall_factor] to apply. *)
-
-val alloc_oom : t -> site:string -> event option
-val nan_corruption : t -> site:string -> event option
+    acting on it; a stall applies the config's [stall_factor]. *)
 
 val injected_total : t -> int
 (** Number of events fired so far (= next event's [seq]). *)
@@ -152,7 +146,7 @@ val window_event : seq:int -> window -> event
 
 (** {1 Typed failure taxonomy}
 
-    The serving and VM layers raise {!Error} instead of stringly
+    The serving layer raises {!Error} instead of stringly
     [Failure]/[Invalid_argument] so callers can make policy
     decisions: retry transients with backoff, shed on resource
     exhaustion, regenerate corrupt output, and only propagate

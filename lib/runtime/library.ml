@@ -13,10 +13,6 @@ let find name = Hashtbl.find_opt registry name
 let registered () =
   List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) registry [])
 
-let poison (nd : Base.Ndarray.t) =
-  if Base.Ndarray.numel nd > 0 then
-    Base.Ndarray.set_flat_float nd 0 Float.nan
-
 let vendor_prefix (b : Device.backend) =
   match b with
   | Device.Cuda -> Some "cublas"

@@ -32,13 +32,6 @@ val register : impl -> unit
 val find : string -> impl option
 val registered : unit -> string list
 
-val poison : Base.Ndarray.t -> unit
-(** Corrupt a tensor the way a misbehaving vendor routine would:
-    writes NaN into element 0 (no-op on empty tensors). Used by the
-    VM's {!Fault} NaN-corruption injection point on extern-call
-    outputs; downstream finiteness checks (or the serving layer's
-    [Corrupt_output] handling) detect it. *)
-
 val vendor_prefix : Device.backend -> string option
 (** The library namespace available on a backend ([cublas] for CUDA,
     [rocblas] for ROCm, [mps] for Metal); [None] for backends without

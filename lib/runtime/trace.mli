@@ -148,9 +148,11 @@ type event =
           [`Replica_down] / [`Replica_up] (health state machine marked
           replica [id] Down / back non-Down at [t_us]). *)
   | Fault_injected of Fault.event
-      (** A {!Fault} injector fired at this point of the stream. The
-          event precedes the consequence it causes (failed launch,
-          inflated charge, OOM, corrupt output, …). Never emitted when
+      (** A fault fired at this point of the stream: a draw of the
+          serving scheduler's injector, or a planned replica window,
+          marked when a cluster run starts. A drawn event precedes the
+          consequence it causes (failed step, stalled step, refused KV
+          admit or grow, discarded token). Never emitted when
           injection is off. *)
 
 and serve_tag =

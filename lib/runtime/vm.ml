@@ -72,7 +72,6 @@ type t = {
   alloc : Allocator.t;
   st : stats;
   trace : Trace.sink option;
-  fault : Fault.t option;
   captured : (int, unit) Hashtbl.t;
   cost_cache : (string, Tir.Cost.t) Hashtbl.t;
   kernel_cache : Tir.Exec.Cache.t;
@@ -86,8 +85,7 @@ type t = {
          allocated once and reused across invocations *)
 }
 
-let create ?allocator ?trace ?fault ?(backend = Tir.Exec.default) mode program
-    =
+let create ?allocator ?trace ?(backend = Tir.Exec.default) mode program =
   let alloc =
     match allocator with Some a -> a | None -> Allocator.create `Pooling
   in
@@ -104,7 +102,6 @@ let create ?allocator ?trace ?fault ?(backend = Tir.Exec.default) mode program
         graph_replays = 0;
       };
     trace;
-    fault;
     captured = Hashtbl.create 8;
     cost_cache = Hashtbl.create 64;
     kernel_cache = Tir.Exec.Cache.create ~prove:(Analysis.Proof.prover ()) backend;
@@ -247,23 +244,10 @@ let kernel_work t name kernel lookup =
   ( eval cost.Tir.Cost.flops,
     eval cost.Tir.Cost.bytes_read + eval cost.Tir.Cost.bytes_written )
 
-(* Injected device stall: the launch at [site] runs [factor]x slower
-   on the simulated clock. *)
-let stalled t ~site time =
-  match t.fault with
-  | Some inj -> (
-      match Fault.device_stall inj ~site with
-      | Some (ev, factor) ->
-          emit t (Trace.Fault_injected ev);
-          time *. factor
-      | None -> time)
-  | None -> time
-
-(* Charge one launch of roofline [time] at [site]: stall-scaled, plus
-   the launch overhead unless it replays inside a captured graph.
-   Returns the microseconds charged. *)
-let charge t dev ~in_replay ~site time =
-  let time = stalled t ~site time in
+(* Charge one launch of roofline [time], plus the launch overhead
+   unless it replays inside a captured graph. Returns the microseconds
+   charged. *)
+let charge t dev ~in_replay time =
   let overhead = if in_replay then 0.0 else dev.Device.launch_overhead_us in
   let charged = time +. overhead in
   t.st.elapsed_us <- t.st.elapsed_us +. charged;
@@ -295,7 +279,7 @@ let charge_kernel t ~in_replay name kernel lookup =
         | out :: _ -> out.Tir.Buffer.dtype
         | [] -> Base.Dtype.F32
       in
-      charge t dev ~in_replay ~site:name
+      charge t dev ~in_replay
         (Device.kernel_time_us dev dtype ~flops
            ~bytes:(bytes *. traffic_factor) ~compute_eff:dev.Device.gen_eff)
 
@@ -316,8 +300,7 @@ let charge_extern t ~in_replay (impl : Library.impl) shapes dtype =
         cost.Library.bytes
         /. (dev.Device.mem_bw_gbps *. dev.Device.mem_eff *. mem_factor *. 1e3)
       in
-      charge t dev ~in_replay ~site:impl.Library.name
-        (Float.max compute_us memory_us)
+      charge t dev ~in_replay (Float.max compute_us memory_us)
 
 (* Charge a ccl.* collective from the device interconnect link model
    rather than the memory roofline: ring all-reduce moves 2(w-1)/w of
@@ -341,7 +324,7 @@ let charge_collective t ~in_replay func ~world ~bytes =
         | `All_reduce -> Device.all_reduce_us link ~world ~bytes
         | `All_gather -> Device.all_gather_us link ~world ~bytes
       in
-      (charge t dev ~in_replay ~site:func time, wire)
+      (charge t dev ~in_replay time, wire)
 
 let find_func t name =
   match List.assoc_opt name t.program.funcs with
@@ -498,21 +481,6 @@ and exec_instr t ~in_replay ~fname ~pc ~prov frame (i : instr) : unit =
           (Array.to_list sym_args)
       in
       let lookup = kernel_sym_env kf shapes sym_bindings in
-      (* Injected transient kernel failure: the launch never happens —
-         no time is charged, no trace launch event is emitted — and
-         the typed error surfaces to the caller's retry policy. *)
-      (match t.fault with
-      | Some inj -> (
-          match Fault.kernel_failure inj ~site:kernel with
-          | Some ev ->
-              emit t (Trace.Fault_injected ev);
-              raise
-                (Fault.Error
-                   ( Fault.Transient,
-                     Printf.sprintf "injected transient failure in kernel %s"
-                       kernel ))
-          | None -> ())
-      | None -> ());
       let charged = charge_kernel t ~in_replay kernel kf lookup in
       (match t.trace with
       | Some sink ->
@@ -593,21 +561,7 @@ and exec_instr t ~in_replay ~fname ~pc ~prov frame (i : instr) : unit =
       end;
       (match t.mode with
       | `Numeric -> impl.Library.compute (Array.map value_tensor arg_vals)
-      | `Timed _ -> ());
-      (* Injected library corruption: the routine "succeeded" but its
-         output (destination-passing: last argument) carries NaN. *)
-      (match t.fault with
-      | Some inj -> (
-          match Fault.nan_corruption inj ~site:func with
-          | Some ev ->
-              emit t (Trace.Fault_injected ev);
-              (match t.mode with
-              | `Numeric ->
-                  Library.poison
-                    (value_tensor arg_vals.(Array.length arg_vals - 1))
-              | `Timed _ -> ())
-          | None -> ())
-      | None -> ())
+      | `Timed _ -> ())
   | Call_func { dst; func; args } ->
       let callee = find_func t func in
       let v =

@@ -103,26 +103,14 @@ type t
 
 exception Vm_error of string
 
-(** [create ?allocator ?trace ?fault mode program] builds a VM.
+(** [create ?allocator ?trace mode program] builds a VM.
     [trace] receives a {!Trace.event} for every observable runtime
     action (instruction begin/end, launches with resolved shapes and
     costs, allocator traffic, capture/replay, shape bind/check).
     Attach a {!Profiler} sink to aggregate, or a {!Trace.recorder} to
-    assert on event sequences. No sink: zero tracing overhead.
-
-    [fault] arms the VM with a seeded {!Fault} injector consulted at
-    three points, each preceded by a {!Trace.Fault_injected} event:
-    - every [Call_kernel] may fail transiently — the launch is
-      skipped (no time charged, no launch event) and
-      {!Fault.Error}[ (Transient, _)] is raised out of {!run};
-    - every timed kernel/extern charge may stall, multiplying that
-      launch's simulated time by the configured factor;
-    - every [Call_extern] may corrupt its output: in numeric mode the
-      destination tensor is {!Library.poison}ed with NaN (the call
-      "succeeds", as a misbehaving vendor routine would).
-    The injector does not cover allocation — arm the {!Allocator}
-    itself for OOM spikes. No injector (or all-zero probabilities):
-    behavior is byte-identical to a fault-free VM.
+    assert on event sequences. No sink: zero tracing overhead. The VM
+    injects no faults; the serving scheduler draws them at step
+    boundaries ({!Fault}).
 
     [backend] selects the kernel execution backend
     (interp/imp; default {!Tir.Exec.default}, i.e. imp). Both
@@ -132,7 +120,6 @@ exception Vm_error of string
 val create :
   ?allocator:Allocator.t ->
   ?trace:Trace.sink ->
-  ?fault:Fault.t ->
   ?backend:Tir.Exec.backend ->
   mode ->
   program ->

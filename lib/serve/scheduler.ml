@@ -126,25 +126,29 @@ let bucket_for ~max_batch live =
 
 let round_up n step = (n + step - 1) / step * step
 
+(* The step costs [run] charges: one prefill over [n] positions, and
+   one decode step of batch bucket [bucket] at context [ctx]. Lengths
+   round up to whole KV blocks and clamp to the model's context. *)
+let prefill_cost m ~block_size n =
+  cost_of (prefill_entry m)
+    (min (max 1 (round_up n block_size)) m.cfg.Frontend.Configs.max_context)
+
+let decode_cost m ~block_size ~bucket ctx =
+  cost_of (decode_entry m bucket)
+    (min
+       (max 1 (round_up ctx block_size))
+       (m.cfg.Frontend.Configs.max_context - 1))
+
 (* Uncontended service-time estimate for one request: its prefill plus
    every output token at the batch-1 decode cost, from the same
-   memoized timed VMs [run] charges from. The cluster router uses this
-   to keep per-replica backlog estimates without running anything. *)
+   lookups [run] charges from. The cluster router uses this to keep
+   per-replica backlog estimates without running anything. *)
 let estimate_request_us m ~block_size (req : Workload.request) =
-  let mmax = m.cfg.Frontend.Configs.max_context in
-  let pre_ctx =
-    min (max 1 (round_up req.Workload.prompt_len block_size)) mmax
+  let pre = prefill_cost m ~block_size req.Workload.prompt_len in
+  let step =
+    decode_cost m ~block_size ~bucket:1
+      (req.Workload.prompt_len + req.Workload.output_len - 1)
   in
-  let pre = cost_of (prefill_entry m) pre_ctx in
-  let dec_ctx =
-    min
-      (max 1
-         (round_up
-            (req.Workload.prompt_len + req.Workload.output_len - 1)
-            block_size))
-      (mmax - 1)
-  in
-  let step = cost_of (decode_entry m 1) dec_ctx in
   pre +. (float_of_int (max 0 (req.Workload.output_len - 1)) *. step)
 
 (* ---------- per-request runtime state ---------- *)
@@ -382,52 +386,27 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
   (* ---- fault injection: one seeded injector for the whole run. All
      draws happen at discrete-event boundaries in an execution-mode-
      independent order, so `Sim and `Numeric schedule identically even
-     under faults (the numeric VMs themselves are never armed). ---- *)
+     under faults. ---- *)
   let inj = Option.map Runtime.Fault.create opts.faults in
-  let fault_ev ev =
-    match trace with
-    | Some sink -> sink (Runtime.Trace.Fault_injected ev)
-    | None -> ()
-  in
-  let draw_kernel_fail site =
+  (* One draw of [kind] at [site]; a fired fault is traced before the
+     caller acts on it. *)
+  let fires kind site =
     match inj with
     | None -> false
     | Some i -> (
-        match Runtime.Fault.kernel_failure i ~site with
+        match Runtime.Fault.draw i kind ~site with
         | Some ev ->
-            fault_ev ev;
+            (match trace with
+            | Some sink -> sink (Runtime.Trace.Fault_injected ev)
+            | None -> ());
             true
         | None -> false)
   in
   let stall_mult site =
-    match inj with
-    | None -> 1.0
-    | Some i -> (
-        match Runtime.Fault.device_stall i ~site with
-        | Some (ev, factor) ->
-            fault_ev ev;
-            factor
-        | None -> 1.0)
-  in
-  let draw_oom site =
-    match inj with
-    | None -> false
-    | Some i -> (
-        match Runtime.Fault.alloc_oom i ~site with
-        | Some ev ->
-            fault_ev ev;
-            true
-        | None -> false)
-  in
-  let draw_nan site =
-    match inj with
-    | None -> false
-    | Some i -> (
-        match Runtime.Fault.nan_corruption i ~site with
-        | Some ev ->
-            fault_ev ev;
-            true
-        | None -> false)
+    match opts.faults with
+    | Some c when fires Runtime.Fault.Device_stall site ->
+        c.Runtime.Fault.stall_factor
+    | Some _ | None -> 1.0
   in
   (* Copy-on-write and eviction happen inside the block manager; the
      trace stream recovers them by diffing its monotone counters
@@ -444,7 +423,7 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
   (* Injected OOM makes a grow fail exactly as block exhaustion does:
      the caller's admission-control / preemption path handles it. *)
   let try_grow ~site ~request_id ~tokens =
-    if draw_oom site then false
+    if fires Runtime.Fault.Alloc_oom site then false
     else begin
       let before = Block_manager.stats bm in
       let ok = Block_manager.grow bm ~request_id ~tokens in
@@ -460,7 +439,7 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
     | None -> [||]
   in
   let try_acquire ~site (r : rstate) ~tokens =
-    if draw_oom site then `No_space
+    if fires Runtime.Fault.Alloc_oom site then `No_space
     else begin
       let before = Block_manager.stats bm in
       let res =
@@ -497,9 +476,9 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
     end
   in
   let decode_cost ~live ~ctx =
-    let bucket = bucket_for ~max_batch:opts.max_batch live in
-    let ctx' = min (max 1 (round_up ctx opts.block_size)) (mmax - 1) in
-    cost_of (decode_entry m bucket) ctx'
+    decode_cost m ~block_size:opts.block_size
+      ~bucket:(bucket_for ~max_batch:opts.max_batch live)
+      ctx
   in
   (* Replica-level straggler windows (cluster fault plan): every step
      started inside a window is slowed by its factor. Empty list ->
@@ -526,10 +505,7 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
   let cap_stop t =
     match stop_at with Some s -> Float.min t s | None -> t
   in
-  let prefill_cost n =
-    let ctx' = min (max 1 (round_up n opts.block_size)) mmax in
-    cost_of (prefill_entry m) ctx'
-  in
+  let prefill_cost n = prefill_cost m ~block_size:opts.block_size n in
   let deliver () =
     let rec go () =
       match !arrivals with
@@ -730,7 +706,7 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
         with
         | Some p
           when p.cache_len > 0 && Block_manager.holds bm ~request_id:pid > 0 ->
-            if draw_oom "kv-admit" then `Oom
+            if fires Runtime.Fault.Alloc_oom "kv-admit" then `Oom
             else if Block_manager.fork bm ~parent:pid ~child:r.req.Workload.id
             then `Forked p
             else `Fresh (* sharing off and the copy doesn't fit *)
@@ -796,7 +772,7 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
             *. window_mult !clock
           in
           advance_to (!clock +. dt);
-          if draw_kernel_fail "prefill" then begin
+          if fires Runtime.Fault.Kernel_failure "prefill" then begin
             (* Transient prefill failure: the time is wasted, the
                blocks are released between attempts, and the request
                re-queues with exponential backoff — or aborts once its
@@ -946,7 +922,7 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
       let wmult = window_mult !clock in
       let dt = base_dt *. mult *. wmult in
       advance_to (!clock +. dt);
-      if draw_kernel_fail "decode" then begin
+      if fires Runtime.Fault.Kernel_failure "decode" then begin
         (* Whole-step transient failure: the step's time is wasted and
            no tokens advance; the next loop iteration retries. Charged
            to decode time (the machine was busy) but not to useful
@@ -962,7 +938,7 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
         note_stall (mult > 1.0 || wmult > 1.0);
         List.iter
           (fun r ->
-            if draw_nan "decode" then begin
+            if fires Runtime.Fault.Nan_corruption "decode" then begin
               (* Corrupt output for this request's token: discard it
                  and spend an attempt; the next step regenerates. *)
               r.attempts <- r.attempts + 1;

@@ -27,16 +27,16 @@
     {2 Resilience}
 
     [opts.faults] arms a seeded {!Runtime.Fault} injector drawn at
-    discrete-event boundaries (never inside the memoized cost VMs, so
-    [`Sim] and [`Numeric] still schedule identically): a prefill or
-    decode step may fail transiently (time wasted, no tokens), stall
-    (time inflated), a KV-block grow may hit an injected OOM (handled
-    by the normal admission-control / preemption path), and a decoded
-    token may come back corrupt (discarded). Transient/corrupt
-    failures cost the request one attempt from [opts.retry]'s budget
-    with exponential backoff between admission attempts (blocks are
-    released while backing off); exhausting the budget aborts the
-    request. Persistent stalls shrink the effective admission batch
+    discrete-event boundaries (the VMs draw no faults, so [`Sim] and
+    [`Numeric] still schedule identically): a prefill or decode step
+    may fail transiently (time wasted, no tokens), stall (time
+    inflated), a KV-block admit or grow may hit an injected OOM
+    (handled by the normal admission-control / preemption path), and
+    a decoded token may come back corrupt (discarded).
+    Transient/corrupt failures cost the request one attempt from
+    [opts.retry]'s budget with exponential backoff between admission
+    attempts (blocks are released while backing off); exhausting the
+    budget aborts the request. Persistent stalls shrink the effective admission batch
     (halve after 3 consecutive stalled steps, restore after 8 clean
     ones). With [opts.faults = None] every fault path is skipped
     outright and traces/metrics are byte-identical to the fault-free

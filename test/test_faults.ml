@@ -1,14 +1,10 @@
 (* Fault injection and resilience: determinism of the seeded injector,
-   the typed failure taxonomy at each VM/allocator injection point,
    chaos invariants of the resilient scheduler (conservation of
    requests across completed/shed/aborted, block drain, retry bounds,
-   seed-identical traces, Sim/Numeric agreement under faults), and
-   qcheck edge cases for the serving metrics. *)
+   seed-identical traces, Sim/Numeric agreement under faults), the
+   typed failure taxonomy, and qcheck edge cases for the serving
+   metrics. *)
 
-open Relax_core
-
-let e = Arith.Expr.const
-let f32 = Base.Dtype.F32
 let tiny = Frontend.Configs.tiny
 let device = Runtime.Device.rtx4090
 
@@ -24,14 +20,16 @@ let some_config =
     nan_p = 0.05;
   }
 
+let fired i kind ~site = Option.is_some (Runtime.Fault.draw i kind ~site)
+
 let test_injector_deterministic () =
   let draw_all i =
     List.init 50 (fun k ->
         let site = Printf.sprintf "s%d" k in
-        ( Option.is_some (Runtime.Fault.kernel_failure i ~site),
-          Option.is_some (Runtime.Fault.device_stall i ~site),
-          Option.is_some (Runtime.Fault.alloc_oom i ~site),
-          Option.is_some (Runtime.Fault.nan_corruption i ~site) ))
+        ( fired i Runtime.Fault.Kernel_failure ~site,
+          fired i Runtime.Fault.Device_stall ~site,
+          fired i Runtime.Fault.Alloc_oom ~site,
+          fired i Runtime.Fault.Nan_corruption ~site ))
   in
   let a = draw_all (Runtime.Fault.create some_config) in
   let b = draw_all (Runtime.Fault.create some_config) in
@@ -42,7 +40,8 @@ let test_injector_deterministic () =
   Alcotest.(check bool) "different seed, different schedule" true (a <> c)
 
 (* A probability-0 draw must not consume PRNG state: interleaving dead
-   draws leaves the live kind's schedule untouched. *)
+   draws (and replica kinds, which are planned, never drawn) leaves the
+   live kind's schedule untouched. *)
 let test_zero_prob_draws_free () =
   let cfg =
     {
@@ -53,15 +52,15 @@ let test_zero_prob_draws_free () =
   in
   let plain =
     let i = Runtime.Fault.create cfg in
-    List.init 40 (fun _ ->
-        Option.is_some (Runtime.Fault.kernel_failure i ~site:"k"))
+    List.init 40 (fun _ -> fired i Runtime.Fault.Kernel_failure ~site:"k")
   in
   let interleaved =
     let i = Runtime.Fault.create cfg in
     List.init 40 (fun _ ->
-        ignore (Runtime.Fault.nan_corruption i ~site:"n");
-        ignore (Runtime.Fault.alloc_oom i ~site:"o");
-        Option.is_some (Runtime.Fault.kernel_failure i ~site:"k"))
+        ignore (fired i Runtime.Fault.Nan_corruption ~site:"n");
+        ignore (fired i Runtime.Fault.Alloc_oom ~site:"o");
+        ignore (fired i Runtime.Fault.Replica_crash ~site:"r");
+        fired i Runtime.Fault.Kernel_failure ~site:"k")
   in
   Alcotest.(check bool) "dead draws don't perturb the stream" true
     (plain = interleaved)
@@ -72,151 +71,13 @@ let test_counters () =
       { Runtime.Fault.disabled with Runtime.Fault.seed = 3; kernel_fail_p = 1.0 }
   in
   for _ = 1 to 5 do
-    ignore (Runtime.Fault.kernel_failure i ~site:"k")
+    ignore (fired i Runtime.Fault.Kernel_failure ~site:"k")
   done;
   Alcotest.(check int) "fired count" 5
     (Runtime.Fault.injected i Runtime.Fault.Kernel_failure);
   Alcotest.(check int) "total" 5 (Runtime.Fault.injected_total i);
   Alcotest.(check int) "other kinds untouched" 0
     (Runtime.Fault.injected i Runtime.Fault.Device_stall)
-
-(* ---------- VM injection points ---------- *)
-
-let build_two_matmul_add () =
-  let b = Builder.create () in
-  Builder.function_ b ~name:"main"
-    ~params:
-      [
-        ("x", Struct_info.tensor [ e 2; e 4 ] f32);
-        ("w1", Struct_info.tensor [ e 4; e 4 ] f32);
-        ("w2", Struct_info.tensor [ e 4; e 4 ] f32);
-        ("c", Struct_info.tensor [ e 2; e 4 ] f32);
-      ]
-    (fun params ->
-      match params with
-      | [ x; w1; w2; c ] ->
-          Builder.dataflow b (fun () ->
-              let m1 =
-                Builder.emit b (Expr.call_op "matmul" [ Expr.Var x; Expr.Var w1 ])
-              in
-              let m2 =
-                Builder.emit b (Expr.call_op "matmul" [ Expr.Var m1; Expr.Var w2 ])
-              in
-              let s =
-                Builder.emit b (Expr.call_op "add" [ Expr.Var m2; Expr.Var c ])
-              in
-              Expr.Var s)
-      | _ -> assert false);
-  Builder.module_ b
-
-let compile_module ?(dispatch_library = false) mod_ =
-  Relax_passes.Pipeline.compile
-    ~options:
-      {
-        Relax_passes.Pipeline.default_options with
-        Relax_passes.Pipeline.dispatch_library;
-      }
-    ~device mod_
-
-let args () =
-  List.map
-    (fun (seed, shape) ->
-      Runtime.Vm.tensor (Base.Ndarray.random_uniform ~seed f32 shape))
-    [ (1, [| 2; 4 |]); (2, [| 4; 4 |]); (3, [| 4; 4 |]); (4, [| 2; 4 |]) ]
-
-let fault_of cfg = Runtime.Fault.create cfg
-
-let test_vm_kernel_failure () =
-  let program = compile_module (build_two_matmul_add ()) in
-  let r = Runtime.Trace.recorder () in
-  let vm =
-    Runtime.Vm.create ~trace:(Runtime.Trace.sink r)
-      ~fault:
-        (fault_of
-           {
-             Runtime.Fault.disabled with
-             Runtime.Fault.seed = 1;
-             kernel_fail_p = 1.0;
-           })
-      (`Timed device) program
-  in
-  (match Runtime.Vm.run vm "main" (args ()) with
-  | _ -> Alcotest.fail "expected an injected kernel failure"
-  | exception Runtime.Fault.Error (Runtime.Fault.Transient, _) -> ());
-  Alcotest.(check bool) "fault event recorded" true
-    (List.exists Runtime.Trace.is_fault (Runtime.Trace.events r))
-
-let test_vm_device_stall () =
-  let program = compile_module (build_two_matmul_add ()) in
-  let clean = Runtime.Vm.create (`Timed device) program in
-  ignore (Runtime.Vm.run clean "main" (args ()));
-  let stalled =
-    Runtime.Vm.create
-      ~fault:
-        (fault_of
-           { Runtime.Fault.disabled with Runtime.Fault.seed = 1; stall_p = 1.0 })
-      (`Timed device) program
-  in
-  ignore (Runtime.Vm.run stalled "main" (args ()));
-  let c = (Runtime.Vm.stats clean).Runtime.Vm.elapsed_us in
-  let s = (Runtime.Vm.stats stalled).Runtime.Vm.elapsed_us in
-  Alcotest.(check bool)
-    (Printf.sprintf "stalled run slower (%.3f vs %.3f us)" s c)
-    true (s > c)
-
-let test_vm_nan_corruption () =
-  (* Library dispatch on: the matmuls run as extern calls whose output
-     the injector poisons; the NaN then propagates to the result. *)
-  let program =
-    compile_module ~dispatch_library:true (build_two_matmul_add ())
-  in
-  let vm =
-    Runtime.Vm.create
-      ~fault:
-        (fault_of
-           { Runtime.Fault.disabled with Runtime.Fault.seed = 1; nan_p = 1.0 })
-      `Numeric program
-  in
-  let out = Runtime.Vm.value_tensor (Runtime.Vm.run vm "main" (args ())) in
-  let has_nan = ref false in
-  for i = 0 to Base.Ndarray.numel out - 1 do
-    if Float.is_nan (Base.Ndarray.get_flat_float out i) then has_nan := true
-  done;
-  Alcotest.(check bool) "output corrupted with NaN" true !has_nan;
-  (* And a clean VM on the same program stays finite. *)
-  let clean = Runtime.Vm.create `Numeric program in
-  let out = Runtime.Vm.value_tensor (Runtime.Vm.run clean "main" (args ())) in
-  for i = 0 to Base.Ndarray.numel out - 1 do
-    if not (Float.is_finite (Base.Ndarray.get_flat_float out i)) then
-      Alcotest.failf "clean run produced non-finite output at %d" i
-  done
-
-let test_allocator_oom () =
-  let alloc =
-    Runtime.Allocator.create
-      ~fault:
-        (fault_of
-           { Runtime.Fault.disabled with Runtime.Fault.seed = 1; oom_p = 1.0 })
-      `Pooling
-  in
-  (match Runtime.Allocator.alloc alloc 1024 with
-  | _ -> Alcotest.fail "expected an injected OOM"
-  | exception Runtime.Fault.Error (Runtime.Fault.Resource_exhausted, _) -> ());
-  Alcotest.(check int) "no bytes leaked by the refused alloc" 0
-    (Runtime.Allocator.live_bytes alloc)
-
-(* All-zero config behaves exactly like no injector at all. *)
-let test_zero_config_is_free () =
-  let program = compile_module (build_two_matmul_add ()) in
-  let run fault =
-    let vm = Runtime.Vm.create ?fault (`Timed device) program in
-    ignore (Runtime.Vm.run vm "main" (args ()));
-    (Runtime.Vm.stats vm).Runtime.Vm.elapsed_us
-  in
-  Alcotest.(check (float 0.0))
-    "all-zero injector is byte-identical"
-    (run None)
-    (run (Some (fault_of Runtime.Fault.disabled)))
 
 (* ---------- scheduler chaos invariants ---------- *)
 
@@ -629,19 +490,6 @@ let () =
           Alcotest.test_case "zero-probability draws are free" `Quick
             test_zero_prob_draws_free;
           Alcotest.test_case "counters" `Quick test_counters;
-        ] );
-      ( "vm",
-        [
-          Alcotest.test_case "kernel failure raises Transient" `Quick
-            test_vm_kernel_failure;
-          Alcotest.test_case "device stall inflates time" `Quick
-            test_vm_device_stall;
-          Alcotest.test_case "extern NaN corruption" `Quick
-            test_vm_nan_corruption;
-          Alcotest.test_case "allocator OOM raises Resource_exhausted" `Quick
-            test_allocator_oom;
-          Alcotest.test_case "all-zero config is free" `Quick
-            test_zero_config_is_free;
         ] );
       ( "chaos",
         List.map QCheck_alcotest.to_alcotest

@@ -194,6 +194,46 @@ let test_blocks_drain =
       && (Runtime.Allocator.live_bytes alloc = 0
          || Runtime.Allocator.fragmentation alloc = 1.0))
 
+(* The router's service-time estimate reads the engine's own step
+   costs: for a lone request on an idle engine it equals the simulated
+   latency when one token is generated (the prefill alone) and is
+   never below it otherwise (it prices every decode step at the final
+   context). *)
+let test_estimate_bounds_latency () =
+  let m = Lazy.force model in
+  let mmax = tiny.Frontend.Configs.max_context in
+  List.iter
+    (fun block_size ->
+      for prompt_len = 1 to mmax - 1 do
+        for output_len = 1 to mmax - prompt_len do
+          let req =
+            {
+              Serve.Workload.id = 0;
+              arrival_us = 0.0;
+              prompt_len;
+              output_len;
+              deadline_us = None;
+              prompt_tokens = None;
+              fork_of = None;
+            }
+          in
+          let est = Serve.Scheduler.estimate_request_us m ~block_size req in
+          let res = Serve.Scheduler.run m (opts ~block_size ()) [ req ] in
+          let latency =
+            match res.Serve.Scheduler.completed with
+            | [ r ] -> r.Serve.Metrics.finish_us -. r.Serve.Metrics.arrival_us
+            | _ -> Alcotest.fail "the lone request did not complete"
+          in
+          let what =
+            Printf.sprintf "block %d, prompt %d, output %d: estimate %g us, latency %g us"
+              block_size prompt_len output_len est latency
+          in
+          if output_len = 1 then Alcotest.(check (float 0.0)) what latency est
+          else Alcotest.(check bool) what true (est >= latency)
+        done
+      done)
+    [ 1; 2; 4; 16 ]
+
 let test_preempted_finish () =
   (* Two simultaneous requests each growing to 12 tokens (3 blocks)
      cannot share a 4-block budget: the later-admitted one must be
@@ -592,6 +632,8 @@ let () =
         @ [
             Alcotest.test_case "preempted requests finish" `Quick
               test_preempted_finish;
+            Alcotest.test_case "estimate bounds a lone request's latency"
+              `Quick test_estimate_bounds_latency;
           ] );
       ( "numeric",
         [
