@@ -1,4 +1,5 @@
 (* Fault injection and resilience: determinism of the seeded injector,
+   what a fired fault does at each of the scheduler's injection sites,
    chaos invariants of the resilient scheduler (conservation of
    requests across completed/shed/aborted, block drain, retry bounds,
    seed-identical traces, Sim/Numeric agreement under faults), the
@@ -302,6 +303,197 @@ let test_numeric_matches_sim_under_faults =
           sim.Serve.Scheduler.clock_us num.Serve.Scheduler.clock_us;
       true)
 
+(* ---------- scheduler injection sites ----------
+
+   One armed kind at a time, probability 1 where the run still
+   terminates: each case pins what a fired draw does at its site. *)
+
+let request ~id ~arrival ~prompt ~output =
+  {
+    Serve.Workload.id;
+    arrival_us = arrival;
+    prompt_len = prompt;
+    output_len = output;
+    deadline_us = None;
+    prompt_tokens = None;
+    fork_of = None;
+  }
+
+(* (kind, site) of every fault the run traced, in firing order. *)
+let run_armed ?(max_batch = 2) cfg w =
+  let r = Runtime.Trace.recorder () in
+  let res =
+    Serve.Scheduler.run ~trace:(Runtime.Trace.sink r) (Lazy.force model)
+      (opts ~max_batch ~budget_blocks:8 ~faults:cfg ())
+      w
+  in
+  let sites =
+    List.filter_map
+      (function
+        | Runtime.Trace.Fault_injected ev ->
+            Some (ev.Runtime.Fault.kind, ev.Runtime.Fault.site)
+        | _ -> None)
+      (Runtime.Trace.events r)
+  in
+  (res, sites)
+
+let ids xs = List.sort compare xs
+
+let completed_ids (res : Serve.Scheduler.result) =
+  ids
+    (List.map
+       (fun (m : Serve.Metrics.request_metrics) -> m.Serve.Metrics.id)
+       res.Serve.Scheduler.completed)
+
+let check_drained (res : Serve.Scheduler.result) =
+  Alcotest.(check int) "every block released" 0
+    (Serve.Block_manager.used_blocks res.Serve.Scheduler.blocks)
+
+let test_prefill_failure_aborts () =
+  let w = workload ~n:4 () in
+  let res, sites =
+    run_armed
+      { Runtime.Fault.disabled with Runtime.Fault.seed = 1; kernel_fail_p = 1.0 }
+      w
+  in
+  let attempts = Serve.Scheduler.default_retry.Serve.Scheduler.max_attempts in
+  Alcotest.(check (list int)) "every request aborts" [ 0; 1; 2; 3 ]
+    (ids res.Serve.Scheduler.aborted);
+  Alcotest.(check (list int)) "none completes" [] (completed_ids res);
+  Alcotest.(check bool) "each request fails its prefill max_attempts times" true
+    (sites
+    = List.init (4 * attempts) (fun _ -> (Runtime.Fault.Kernel_failure, "prefill")));
+  Alcotest.(check int) "summary counts the faults" (4 * attempts)
+    res.Serve.Scheduler.summary.Serve.Metrics.faults;
+  check_drained res
+
+(* A lone request on a batch of one (no degradation): every step
+   stalls, so its latency is exactly stall_factor times the clean one. *)
+let test_stall_scales_steps () =
+  let w = [ request ~id:0 ~arrival:0.0 ~prompt:5 ~output:4 ] in
+  let latency faults =
+    let res =
+      Serve.Scheduler.run (Lazy.force model) (opts ~max_batch:1 ?faults ()) w
+    in
+    match res.Serve.Scheduler.completed with
+    | [ m ] -> m.Serve.Metrics.finish_us -. m.Serve.Metrics.arrival_us
+    | _ -> Alcotest.fail "expected one completion"
+  in
+  let clean = latency None in
+  List.iter
+    (fun k ->
+      let cfg =
+        {
+          Runtime.Fault.disabled with
+          Runtime.Fault.seed = 1;
+          stall_p = 1.0;
+          stall_factor = k;
+        }
+      in
+      Alcotest.(check (float (1e-9 *. k *. clean)))
+        (Printf.sprintf "latency x%.1f" k)
+        (k *. clean) (latency (Some cfg));
+      let _, sites = run_armed ~max_batch:1 cfg w in
+      Alcotest.(check bool) "one stall per step" true
+        (sites
+        = (Runtime.Fault.Device_stall, "prefill")
+          :: List.init 3 (fun _ -> (Runtime.Fault.Device_stall, "decode"))))
+    [ 2.0; 4.0; 7.5 ]
+
+(* Every decoded token is corrupt: single-token requests finish at
+   their prefill, longer ones spend their attempts and abort. *)
+let test_token_corruption () =
+  let w =
+    [
+      request ~id:0 ~arrival:0.0 ~prompt:3 ~output:1;
+      request ~id:1 ~arrival:10.0 ~prompt:4 ~output:3;
+      request ~id:2 ~arrival:20.0 ~prompt:2 ~output:1;
+      request ~id:3 ~arrival:30.0 ~prompt:5 ~output:2;
+    ]
+  in
+  let res, sites =
+    run_armed
+      { Runtime.Fault.disabled with Runtime.Fault.seed = 1; nan_p = 1.0 }
+      w
+  in
+  let attempts = Serve.Scheduler.default_retry.Serve.Scheduler.max_attempts in
+  Alcotest.(check (list int)) "single-token requests complete" [ 0; 2 ]
+    (completed_ids res);
+  Alcotest.(check (list int)) "decoding requests abort" [ 1; 3 ]
+    (ids res.Serve.Scheduler.aborted);
+  Alcotest.(check bool) "each decoding request loses max_attempts tokens" true
+    (sites
+    = List.init (2 * attempts) (fun _ -> (Runtime.Fault.Nan_corruption, "decode")));
+  check_drained res
+
+(* An injected OOM is transient: the request backs off or is preempted,
+   then finishes with its full output and no block stays held. *)
+let test_kv_oom_recovers () =
+  let w = workload ~n:6 () in
+  let res, sites =
+    run_armed
+      { Runtime.Fault.disabled with Runtime.Fault.seed = 1; oom_p = 0.5 }
+      w
+  in
+  Alcotest.(check (list int)) "every request completes" [ 0; 1; 2; 3; 4; 5 ]
+    (completed_ids res);
+  List.iter
+    (fun (m : Serve.Metrics.request_metrics) ->
+      let r = List.nth w m.Serve.Metrics.id in
+      Alcotest.(check int)
+        (Printf.sprintf "request %d keeps its output" m.Serve.Metrics.id)
+        r.Serve.Workload.output_len m.Serve.Metrics.tokens)
+    res.Serve.Scheduler.completed;
+  List.iter
+    (fun site ->
+      Alcotest.(check bool) (site ^ " OOM fired") true
+        (List.mem (Runtime.Fault.Alloc_oom, site) sites))
+    [ "kv-admit"; "kv-grow" ];
+  Alcotest.(check bool) "only OOM fires" true
+    (List.for_all (fun (k, _) -> k = Runtime.Fault.Alloc_oom) sites);
+  check_drained res
+
+(* The scheduler's injection table (DESIGN.md §9): every kind fires at
+   its documented sites and nowhere else. *)
+let test_site_table () =
+  let table =
+    [
+      (Runtime.Fault.Kernel_failure, "prefill");
+      (Runtime.Fault.Kernel_failure, "decode");
+      (Runtime.Fault.Device_stall, "prefill");
+      (Runtime.Fault.Device_stall, "decode");
+      (Runtime.Fault.Alloc_oom, "kv-admit");
+      (Runtime.Fault.Alloc_oom, "kv-grow");
+      (Runtime.Fault.Nan_corruption, "decode");
+    ]
+  in
+  let res, sites =
+    run_armed ~max_batch:4
+      {
+        Runtime.Fault.disabled with
+        Runtime.Fault.seed = 5;
+        kernel_fail_p = 0.2;
+        stall_p = 0.2;
+        oom_p = 0.2;
+        nan_p = 0.2;
+      }
+      (workload ~n:8 ())
+  in
+  List.iter
+    (fun (k, site) ->
+      if not (List.mem (k, site) table) then
+        Alcotest.failf "%s fired at undocumented site %s"
+          (Runtime.Fault.kind_name k) site)
+    sites;
+  List.iter
+    (fun (k, site) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s fired at %s" (Runtime.Fault.kind_name k) site)
+        true (List.mem (k, site) sites))
+    table;
+  Alcotest.(check int) "summary counts every traced fault" (List.length sites)
+    res.Serve.Scheduler.summary.Serve.Metrics.faults
+
 (* ---------- deadline shedding and graceful degradation ---------- *)
 
 let test_deadline_shedding () =
@@ -490,6 +682,19 @@ let () =
           Alcotest.test_case "zero-probability draws are free" `Quick
             test_zero_prob_draws_free;
           Alcotest.test_case "counters" `Quick test_counters;
+        ] );
+      ( "sites",
+        [
+          Alcotest.test_case "prefill failure aborts after the attempt budget"
+            `Quick test_prefill_failure_aborts;
+          Alcotest.test_case "stall scales every step by stall_factor" `Quick
+            test_stall_scales_steps;
+          Alcotest.test_case "corrupt tokens spend attempts" `Quick
+            test_token_corruption;
+          Alcotest.test_case "KV OOM backs off and leaks no blocks" `Quick
+            test_kv_oom_recovers;
+          Alcotest.test_case "faults fire only at the documented sites" `Quick
+            test_site_table;
         ] );
       ( "chaos",
         List.map QCheck_alcotest.to_alcotest
