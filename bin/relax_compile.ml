@@ -157,7 +157,7 @@ let run_serve cfg (device : Runtime.Device.t) precision ~max_batch ~rate
       Serve.Scheduler.policy;
       max_batch;
       admission;
-      retry = { Serve.Scheduler.default_retry with max_attempts = retries };
+      max_attempts = retries;
       faults;
       kv_share;
     }
@@ -191,10 +191,7 @@ let run_serve cfg (device : Runtime.Device.t) precision ~max_batch ~rate
         affinity_window = max 64 (mmax / 4);
         sched = opts;
         replica_faults;
-        health =
-          { Dist.Health.default_opts with
-            Dist.Health.heartbeat_us = heartbeat_ms *. 1000.0;
-          };
+        heartbeat_us = heartbeat_ms *. 1000.0;
         health_aware = not no_failover;
         hedge;
       }

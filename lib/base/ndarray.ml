@@ -88,6 +88,17 @@ let of_int_list dtype shape vals =
 
 let to_float_list t = List.init (numel t) (get_flat_float t)
 
+let argmax t =
+  let best = ref 0 and best_v = ref neg_infinity in
+  for i = 0 to numel t - 1 do
+    let v = get_flat_float t i in
+    if v > !best_v then begin
+      best_v := v;
+      best := i
+    end
+  done;
+  !best
+
 let fill_float t v =
   match t.data with
   | Float_data a -> Array.fill a 0 (Array.length a) v

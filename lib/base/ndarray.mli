@@ -53,6 +53,10 @@ val of_float_list : Dtype.t -> int array -> float list -> t
 val of_int_list : Dtype.t -> int array -> int list -> t
 val to_float_list : t -> float list
 
+val argmax : t -> int
+(** Flat index of the largest element; the first maximum wins (greedy
+    decoding's next token). 0 when no element exceeds [neg_infinity]. *)
+
 val fill_float : t -> float -> unit
 val init_float : Dtype.t -> int array -> (int array -> float) -> t
 

@@ -48,7 +48,7 @@ type opts = {
   affinity_window : int;
   sched : Scheduler.opts;
   replica_faults : Fault.plan;
-  health : Health.opts;
+  heartbeat_us : float;
   health_aware : bool;
   hedge : bool;
 }
@@ -60,7 +60,7 @@ let default_opts =
     affinity_window = 64;
     sched = Scheduler.default_opts;
     replica_faults = [];
-    health = Health.default_opts;
+    heartbeat_us = 10_000.0;
     health_aware = true;
     hedge = false;
   }
@@ -216,8 +216,8 @@ let pick_for ~opts ~rt ~state (r : Workload.request) ~t =
       else pk
   | _ -> route_pick ~opts ~rt ~state r ~t
 
-(* Probe horizon: past every arrival and fault window, plus slack for
-   detection and half-open recovery to land. *)
+(* Probe horizon: past every arrival and fault window, plus Health's
+   slack for detection and half-open recovery to land. *)
 let probe_horizon opts (w : Workload.t) =
   let last_arrival =
     List.fold_left
@@ -229,16 +229,13 @@ let probe_horizon opts (w : Workload.t) =
       (fun acc (win : Fault.window) -> Float.max acc win.Fault.until_us)
       0.0 opts.replica_faults
   in
-  Float.max last_arrival last_window
-  +. (4.0 *. opts.health.Health.max_backoff_us)
-  +. (float_of_int
-        (opts.health.Health.down_after + opts.health.Health.recover_after + 4)
-     *. opts.health.Health.heartbeat_us)
+  Health.probe_horizon ~heartbeat_us:opts.heartbeat_us
+    (Float.max last_arrival last_window)
 
 let timeline_of opts w =
   if opts.replica_faults = [] then []
   else
-    Health.timeline opts.health ~plan:opts.replica_faults
+    Health.timeline ~heartbeat_us:opts.heartbeat_us ~plan:opts.replica_faults
       ~replicas:opts.replicas ~horizon_us:(probe_horizon opts w)
 
 (* The health view routing decides against: the probed timeline, or

@@ -93,7 +93,9 @@ type opts = {
           disarms every fault-tolerance path — routing, era splitting
           and the fold are then byte-identical to the pre-failover
           cluster *)
-  health : Health.opts;  (** heartbeat prober configuration *)
+  heartbeat_us : float;
+      (** {!Health} probe cadence, > 0 (the circuit breaker's other
+          settings are constants); default 10 ms *)
   health_aware : bool;
       (** [false]: health-blind routing + engine outage windows (the
           naive baseline). Default [true]. *)
@@ -105,8 +107,8 @@ type opts = {
 
 val default_opts : opts
 (** 2 replicas, round-robin, 64-token affinity window,
-    {!Serve.Scheduler.default_opts} engines, no fault plan,
-    {!Health.default_opts}, health-aware, no hedging. *)
+    {!Serve.Scheduler.default_opts} engines, no fault plan, 10 ms
+    heartbeat, health-aware, no hedging. *)
 
 val fnv1a : int list -> int
 (** 32-bit FNV-1a over token ids (4 little-endian bytes each) —
@@ -123,7 +125,8 @@ val dispatch :
     determinism golden pins this: same (workload, policy, plan)
     → byte-equal decisions, even as the healthy set changes
     mid-stream. Runs nothing beyond the shared cost-model VMs.
-    @raise Invalid_argument if [replicas < 1]. *)
+    @raise Invalid_argument if [replicas < 1], or if [replica_faults]
+    is non-empty and [heartbeat_us] is not > 0. *)
 
 type replica_report = {
   eras : (float * Serve.Scheduler.result) list;
@@ -175,7 +178,7 @@ val run :
     [`Replica_down] / [`Replica_up] per health down-span (id =
     replica index), [`Failover] per migration (id = request, batch =
     destination replica), [`Hedge] / [`Hedge_win] when hedging.
-    @raise Invalid_argument if [replicas < 1]. *)
+    @raise Invalid_argument as {!dispatch} does. *)
 
 val to_string : opts -> result -> string
 (** Per-replica utilization lines (completed, busy time summed over

@@ -17,34 +17,29 @@ let state_name = function
   | Down -> "down"
   | Recovering -> "recovering"
 
-type opts = {
-  heartbeat_us : float;
-  down_after : int;
-  recover_after : int;
-  backoff_us : float;
-  backoff_mult : float;
-  max_backoff_us : float;
-}
+(* The circuit breaker: Down after [down_after] consecutive missed
+   probes, Healthy after [recover_after] consecutive good ones. While
+   Down, half-open trials are spaced by a backoff that starts at
+   [backoff_us] and doubles up to [max_backoff_us]. *)
+let down_after = 2
+let recover_after = 2
+let backoff_us = 20_000.0
+let max_backoff_us = 160_000.0
 
-let default_opts =
-  {
-    heartbeat_us = 10_000.0;
-    down_after = 2;
-    recover_after = 2;
-    backoff_us = 20_000.0;
-    backoff_mult = 2.0;
-    max_backoff_us = 160_000.0;
-  }
+let probe_horizon ~heartbeat_us last_us =
+  last_us
+  +. (4.0 *. max_backoff_us)
+  +. (float_of_int (down_after + recover_after + 4) *. heartbeat_us)
 
 type transition = { t_us : float; replica : int; state : state }
 
-let replica_timeline opts ~plan ~replica ~horizon_us =
+let replica_timeline ~heartbeat_us ~plan ~replica ~horizon_us =
   let out = ref [] in
   let emit t state = out := { t_us = t; replica; state } :: !out in
   let state = ref Healthy in
   let fails = ref 0 and goods = ref 0 in
-  let backoff = ref opts.backoff_us in
-  let t = ref opts.heartbeat_us in
+  let backoff = ref backoff_us in
+  let t = ref heartbeat_us in
   while !t <= horizon_us do
     let ok =
       (not (Runtime.Fault.crashed_at plan ~replica ~t_us:!t))
@@ -60,30 +55,30 @@ let replica_timeline opts ~plan ~replica ~horizon_us =
           state := Recovering;
           goods := 1;
           emit !t Recovering;
-          if !goods >= opts.recover_after then begin
+          if !goods >= recover_after then begin
             state := Healthy;
             emit !t Healthy
           end;
-          backoff := opts.backoff_us;
-          t := !t +. opts.heartbeat_us
+          backoff := backoff_us;
+          t := !t +. heartbeat_us
         end
         else begin
           (* still dead: back off exponentially before re-probing *)
           t := !t +. !backoff;
-          backoff := Float.min opts.max_backoff_us (!backoff *. opts.backoff_mult)
+          backoff := Float.min max_backoff_us (!backoff *. 2.0)
         end
     | (Healthy | Degraded | Recovering) as s ->
         if not ok then begin
           goods := 0;
           incr fails;
-          if !fails >= opts.down_after then begin
+          if !fails >= down_after then begin
             state := Down;
             fails := 0;
             emit !t Down;
-            backoff := opts.backoff_us;
+            backoff := backoff_us;
             t := !t +. !backoff
           end
-          else t := !t +. opts.heartbeat_us
+          else t := !t +. heartbeat_us
         end
         else if slow then begin
           fails := 0;
@@ -92,26 +87,32 @@ let replica_timeline opts ~plan ~replica ~horizon_us =
             state := Degraded;
             emit !t Degraded
           end;
-          t := !t +. opts.heartbeat_us
+          t := !t +. heartbeat_us
         end
         else begin
           fails := 0;
           (match s with
           | Degraded | Recovering ->
               incr goods;
-              if !goods >= opts.recover_after then begin
+              if !goods >= recover_after then begin
                 state := Healthy;
                 emit !t Healthy
               end
           | Healthy | Down -> ());
-          t := !t +. opts.heartbeat_us
+          t := !t +. heartbeat_us
         end)
   done;
   List.rev !out
 
-let timeline opts ~plan ~replicas ~horizon_us =
+let timeline ~heartbeat_us ~plan ~replicas ~horizon_us =
+  (* The probe clock advances by the heartbeat: a non-positive one
+     would never reach the horizon, and a NaN one would never probe. *)
+  if not (heartbeat_us > 0.0) then
+    invalid_arg
+      (Printf.sprintf "Dist.Health.timeline: heartbeat_us must be > 0 (got %g)"
+         heartbeat_us);
   List.init replicas (fun replica ->
-      replica_timeline opts ~plan ~replica ~horizon_us)
+      replica_timeline ~heartbeat_us ~plan ~replica ~horizon_us)
   |> List.concat
   |> List.stable_sort (fun a b ->
          match compare a.t_us b.t_us with

@@ -1,21 +1,20 @@
 (** Per-replica health model for the serving cluster (DESIGN.md §14).
 
     A heartbeat prober walks the simulated clock at a fixed cadence
-    and asks, for each replica, whether a probe at that instant
-    succeeds against the {!Runtime.Fault} replica plan: it fails iff a
-    crash or partition window covers it, and is slow iff a stall
-    window does. A per-replica state machine folds the probe stream:
+    (the heartbeat, the model's only setting) and asks, for each
+    replica, whether a probe at that instant succeeds against the
+    {!Runtime.Fault} replica plan: it fails iff a crash or partition
+    window covers it, and is slow iff a stall window does. A
+    per-replica state machine folds the probe stream:
 
     - [Healthy]: probes succeeding at full speed.
     - [Degraded]: last probe succeeded but was slow (straggler) —
       routable, deprioritized.
-    - [Down]: [down_after] consecutive probes failed. The circuit is
-      open: probing drops to single half-open trials spaced by an
-      exponentially growing backoff ([backoff_us] × [backoff_mult]^k,
-      capped at [max_backoff_us]).
+    - [Down]: 2 consecutive probes failed. The circuit is open:
+      probing drops to single half-open trials spaced by a backoff
+      that starts at 20 ms and doubles up to a 160 ms cap.
     - [Recovering]: a half-open trial succeeded; back at heartbeat
-      cadence, promoted to [Healthy] after [recover_after] consecutive
-      good probes.
+      cadence, promoted to [Healthy] after 2 consecutive good probes.
 
     Probe outcomes depend only on the plan — never on serving load —
     so the whole timeline is computed deterministically up front and
@@ -26,32 +25,28 @@ type state = Healthy | Degraded | Down | Recovering
 val state_name : state -> string
 (** "healthy", "degraded", "down", "recovering". *)
 
-type opts = {
-  heartbeat_us : float;  (** probe cadence while the circuit is closed *)
-  down_after : int;  (** consecutive failed probes before [Down] *)
-  recover_after : int;  (** consecutive good probes before [Healthy] *)
-  backoff_us : float;  (** first half-open retry delay once [Down] *)
-  backoff_mult : float;  (** exponential growth per failed half-open trial *)
-  max_backoff_us : float;  (** backoff ceiling *)
-}
-
-val default_opts : opts
-(** 10 ms heartbeat, Down after 2 misses, Healthy after 2 good
-    probes, 20 ms half-open backoff doubling up to 160 ms. *)
-
 type transition = { t_us : float; replica : int; state : state }
 
 val timeline :
-  opts ->
+  heartbeat_us:float ->
   plan:Runtime.Fault.plan ->
   replicas:int ->
   horizon_us:float ->
   transition list
-(** All state transitions in [\[0, horizon_us\]], sorted by time then
+(** All state transitions in [\[0, horizon_us\]] with probes every
+    [heartbeat_us] while the circuit is closed, sorted by time then
     replica. Replicas start [Healthy] at 0 (no transition emitted). A
     crash at [tc] is detected — i.e. the [Down] transition lands — at
-    the [down_after]'th heartbeat after [tc]; recovery is observed at
-    the first half-open probe after the window closes. *)
+    the second heartbeat after [tc]; recovery is observed at the first
+    half-open probe after the window closes.
+    @raise Invalid_argument unless [heartbeat_us > 0] (so NaN too): a
+    non-positive heartbeat would never reach the horizon. *)
+
+val probe_horizon : heartbeat_us:float -> float -> float
+(** [probe_horizon ~heartbeat_us last_us]: a horizon past [last_us]
+    (the last arrival or fault-window end) with slack for a detection
+    and a half-open recovery to land — four maximal backoffs plus
+    eight heartbeats. *)
 
 val state_at : transition list -> replica:int -> t_us:float -> state
 (** The replica's state at [t_us] (transitions at exactly [t_us]

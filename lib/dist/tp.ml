@@ -98,18 +98,6 @@ let full_weights cfg ~seed =
     (List.combine fb.Llm.params
        (Llm.args_for fb ~ctx:0 ~seed ~mode:`Numeric ()))
 
-let argmax logits =
-  let n = Base.Ndarray.numel logits in
-  let best = ref 0 and best_v = ref neg_infinity in
-  for i = 0 to n - 1 do
-    let v = Base.Ndarray.get_flat_float logits i in
-    if v > !best_v then begin
-      best_v := v;
-      best := i
-    end
-  done;
-  !best
-
 let logits_of = function
   | Runtime.Vm.Tuple_val (l :: _) -> Runtime.Vm.value_tensor l
   | v -> Runtime.Vm.value_tensor v
@@ -172,7 +160,7 @@ let generate ?strategy ?verify cfg ~tp ~seed ~prompt ~gen () =
     prompt;
   let out = ref [] in
   for i = 1 to gen do
-    let next = argmax (Option.get !last_logits) in
+    let next = Base.Ndarray.argmax (Option.get !last_logits) in
     out := next :: !out;
     if i < gen then begin
       cur_ids := next;

@@ -70,8 +70,6 @@ val generate :
     With the default [Gather] strategy the result is bit-identical
     across TP degrees for the same [seed] ({!bit_equal} on logits). *)
 
-val argmax : Base.Ndarray.t -> int
-
 val bit_equal : Base.Ndarray.t -> Base.Ndarray.t -> bool
 (** Exact equality of shape and payload — no epsilon. *)
 

@@ -145,12 +145,13 @@ let stall_factor_at plan ~replica ~t_us =
       else acc)
     1.0 plan
 
+(* A planned stall slows its replica 4x; a window lasts a fifth of the
+   horizon on average. *)
+let replica_stall_factor = 4.0
+
 let plan_replica_faults ~seed ~replicas ~horizon_us ?(crash_p = 0.0)
-    ?(stall_p = 0.0) ?(partition_p = 0.0) ?(stall_factor = 4.0)
-    ?(mean_down_us = 0.0) () =
-  let mean_down_us =
-    if mean_down_us > 0.0 then mean_down_us else horizon_us /. 5.0
-  in
+    ?(stall_p = 0.0) ?(partition_p = 0.0) () =
+  let mean_down_us = horizon_us /. 5.0 in
   let windows = ref [] in
   let sample replica rkind p factor =
     if p > 0.0 then begin
@@ -169,7 +170,7 @@ let plan_replica_faults ~seed ~replicas ~horizon_us ?(crash_p = 0.0)
   in
   for replica = 0 to replicas - 1 do
     sample replica Replica_crash crash_p 1.0;
-    sample replica Replica_stall stall_p stall_factor;
+    sample replica Replica_stall stall_p replica_stall_factor;
     sample replica Replica_partition partition_p 1.0
   done;
   List.sort

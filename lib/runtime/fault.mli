@@ -123,15 +123,13 @@ val plan_replica_faults :
   ?crash_p:float ->
   ?stall_p:float ->
   ?partition_p:float ->
-  ?stall_factor:float ->
-  ?mean_down_us:float ->
   unit ->
   plan
 (** Sample at most one window per (replica, kind): with probability
     [p] the window starts uniformly in the first 70% of the horizon
-    and lasts [mean_down_us × U(0.5, 1.5)] (default mean: a fifth of
-    the horizon), clamped to end by 95% of the horizon. Windows are
-    returned sorted by start time. Same seed = same plan. *)
+    and lasts a fifth of the horizon × U(0.5, 1.5), clamped to end by
+    95% of the horizon. A stall window slows its replica 4×. Windows
+    are returned sorted by start time. Same seed = same plan. *)
 
 val window_active : window -> float -> bool
 val plan_windows : plan -> replica:int -> ?rkind:kind -> unit -> window list

@@ -10,27 +10,6 @@ type row = {
   mutable backend : string;  (* "-" until a Kernel_launch stamps it *)
 }
 
-type serve_counts = {
-  arrivals : int;
-  prefills : int;
-  decode_steps : int;
-  preempts : int;
-  finishes : int;
-  sheds : int;
-  timeouts : int;
-  retries : int;
-  aborts : int;
-  degrades : int;
-  prefix_hits : int;
-  cow_copies : int;
-  kv_evictions : int;
-  failovers : int;
-  hedges : int;
-  hedge_wins : int;
-  replica_downs : int;
-  replica_ups : int;
-}
-
 type t = {
   table : (string, row) Hashtbl.t;
   mutable steps : int;
@@ -41,8 +20,7 @@ type t = {
   mutable allocs : int;
   mutable reuses : int;
   mutable frees : int;
-  mutable events : int;
-  mutable serve : serve_counts;
+  serve : (Trace.serve_tag, int) Hashtbl.t;  (* Trace.Serve events by tag *)
   faults : int array;  (* indexed like Fault.all_kinds *)
   backends : (string, int * float) Hashtbl.t;
       (* execution backend -> (kernel calls, time_us) *)
@@ -69,28 +47,6 @@ let device_tag_of_prov prov =
       else None)
   | None -> None
 
-let zero_serve =
-  {
-    arrivals = 0;
-    prefills = 0;
-    decode_steps = 0;
-    preempts = 0;
-    finishes = 0;
-    sheds = 0;
-    timeouts = 0;
-    retries = 0;
-    aborts = 0;
-    degrades = 0;
-    prefix_hits = 0;
-    cow_copies = 0;
-    kv_evictions = 0;
-    failovers = 0;
-    hedges = 0;
-    hedge_wins = 0;
-    replica_downs = 0;
-    replica_ups = 0;
-  }
-
 let create () =
   {
     table = Hashtbl.create 32;
@@ -102,8 +58,7 @@ let create () =
     allocs = 0;
     reuses = 0;
     frees = 0;
-    events = 0;
-    serve = zero_serve;
+    serve = Hashtbl.create 16;
     faults = Array.make (List.length Fault.all_kinds) 0;
     backends = Hashtbl.create 4;
     devices = Hashtbl.create 4;
@@ -139,8 +94,14 @@ let row t kind name origin =
       Hashtbl.replace t.table name r;
       r
 
+let tag_count t tag = Option.value (Hashtbl.find_opt t.serve tag) ~default:0
+
+(* A timeout is a shed too. *)
+let serve_count t = function
+  | `Shed -> tag_count t `Shed + tag_count t `Timeout
+  | tag -> tag_count t tag
+
 let feed t (ev : Trace.event) =
-  t.events <- t.events + 1;
   match ev with
   | Trace.Enter { top; overhead_us; _ } ->
       if top then t.steps <- t.steps + 1;
@@ -189,28 +150,7 @@ let feed t (ev : Trace.event) =
   | Trace.Free { live; _ } ->
       t.frees <- t.frees + 1;
       if live > t.peak_live then t.peak_live <- live
-  | Trace.Serve { tag; _ } ->
-      let s = t.serve in
-      t.serve <-
-        (match tag with
-        | `Request_arrive -> { s with arrivals = s.arrivals + 1 }
-        | `Prefill -> { s with prefills = s.prefills + 1 }
-        | `Decode_step -> { s with decode_steps = s.decode_steps + 1 }
-        | `Preempt -> { s with preempts = s.preempts + 1 }
-        | `Finish -> { s with finishes = s.finishes + 1 }
-        | `Shed -> { s with sheds = s.sheds + 1 }
-        | `Timeout -> { s with sheds = s.sheds + 1; timeouts = s.timeouts + 1 }
-        | `Retry -> { s with retries = s.retries + 1 }
-        | `Abort -> { s with aborts = s.aborts + 1 }
-        | `Degrade -> { s with degrades = s.degrades + 1 }
-        | `Prefix_hit -> { s with prefix_hits = s.prefix_hits + 1 }
-        | `Cow_copy -> { s with cow_copies = s.cow_copies + 1 }
-        | `Evict -> { s with kv_evictions = s.kv_evictions + 1 }
-        | `Failover -> { s with failovers = s.failovers + 1 }
-        | `Hedge -> { s with hedges = s.hedges + 1 }
-        | `Hedge_win -> { s with hedge_wins = s.hedge_wins + 1 }
-        | `Replica_down -> { s with replica_downs = s.replica_downs + 1 }
-        | `Replica_up -> { s with replica_ups = s.replica_ups + 1 })
+  | Trace.Serve { tag; _ } -> Hashtbl.replace t.serve tag (tag_count t tag + 1)
   | Trace.Fault_injected { Fault.kind; _ } ->
       t.faults.(kind_idx kind) <- t.faults.(kind_idx kind) + 1
   | Trace.Exit _ | Trace.Instr_begin _ | Trace.Instr_end _ | Trace.Bind_shape _
@@ -235,11 +175,6 @@ let total_time_us t = call_time_us t +. t.overhead_us
 let peak_live_bytes t = t.peak_live
 let steps t = t.steps
 let replays t = t.replays
-let event_count t = t.events
-let alloc_count t = t.allocs
-let reuse_count t = t.reuses
-let free_count t = t.frees
-let serve_counts t = t.serve
 
 let backend_split t =
   Hashtbl.fold (fun name (calls, us) acc -> (name, calls, us) :: acc)
@@ -348,30 +283,33 @@ let report ?(top = 0) t =
        "memory: peak live %.2f MiB (%d bytes); %d allocs, %d reused, %d frees\n"
        (float_of_int t.peak_live /. 1048576.0)
        t.peak_live t.allocs t.reuses t.frees);
-  let s = t.serve in
-  if s.arrivals + s.prefills + s.decode_steps + s.preempts + s.finishes > 0 then
+  let n = serve_count t in
+  let any tags = List.exists (fun tag -> n tag > 0) tags in
+  if any [ `Request_arrive; `Prefill; `Decode_step; `Preempt; `Finish ] then
     Buffer.add_string buf
       (Printf.sprintf
          "serving: %d arrivals, %d prefills, %d decode steps, %d preemptions, \
           %d finished\n"
-         s.arrivals s.prefills s.decode_steps s.preempts s.finishes);
-  if s.sheds + s.retries + s.aborts + s.degrades > 0 then
+         (n `Request_arrive) (n `Prefill) (n `Decode_step) (n `Preempt)
+         (n `Finish));
+  if any [ `Shed; `Retry; `Abort; `Degrade ] then
     Buffer.add_string buf
       (Printf.sprintf
          "resilience: %d shed (%d timed out), %d retries, %d aborted, %d \
           degrades\n"
-         s.sheds s.timeouts s.retries s.aborts s.degrades);
-  if s.prefix_hits + s.cow_copies + s.kv_evictions > 0 then
+         (n `Shed) (n `Timeout) (n `Retry) (n `Abort) (n `Degrade));
+  if any [ `Prefix_hit; `Cow_copy; `Evict ] then
     Buffer.add_string buf
       (Printf.sprintf
          "kv sharing: %d prefix hits, %d cow copies, %d evictions\n"
-         s.prefix_hits s.cow_copies s.kv_evictions);
-  if s.failovers + s.hedges + s.replica_downs > 0 then
+         (n `Prefix_hit) (n `Cow_copy) (n `Evict));
+  if any [ `Failover; `Hedge; `Replica_down ] then
     Buffer.add_string buf
       (Printf.sprintf
          "failover: %d migrations, %d hedges (%d wins), %d replica downs, %d \
           replica ups\n"
-         s.failovers s.hedges s.hedge_wins s.replica_downs s.replica_ups);
+         (n `Failover) (n `Hedge) (n `Hedge_win) (n `Replica_down)
+         (n `Replica_up));
   if faults_injected t > 0 then
     Buffer.add_string buf
       (Printf.sprintf "faults: %d injected (%s)\n" (faults_injected t)

@@ -5,6 +5,9 @@
     library call, capture replay and allocation is aggregated into a
     table of per-routine counters (calls, launches that paid overhead,
     simulated time, flops, bytes moved) plus global memory statistics.
+    Serving engines and clusters feed the same sink: their
+    {!Trace.Serve} events are counted per tag, and their
+    {!Trace.Fault_injected} events per fault kind.
 
     Invariants the test suite relies on:
     - {!total_time_us} equals the VM's [stats.elapsed_us] for the same
@@ -33,40 +36,16 @@ type row = {
           rows that have not seen a launch *)
 }
 
-type serve_counts = {
-  arrivals : int;
-  prefills : int;
-  decode_steps : int;
-  preempts : int;
-  finishes : int;
-  sheds : int;  (** [`Shed] + [`Timeout] (timeouts are sheds too) *)
-  timeouts : int;
-  retries : int;
-  aborts : int;
-  degrades : int;
-  prefix_hits : int;  (** [`Prefix_hit]: admissions served from the prefix cache *)
-  cow_copies : int;  (** [`Cow_copy]: writes into shared blocks that copied *)
-  kv_evictions : int;  (** [`Evict]: cached refcount-0 blocks reclaimed *)
-  failovers : int;  (** [`Failover]: requests migrated off a crashed replica *)
-  hedges : int;  (** [`Hedge]: duplicate dispatches to cover stragglers *)
-  hedge_wins : int;  (** [`Hedge_win]: hedge copies that finished first *)
-  replica_downs : int;  (** [`Replica_down]: health transitions to Down *)
-  replica_ups : int;  (** [`Replica_up]: recoveries back to non-Down *)
-}
-(** Counts of {!Trace.Serve} events by tag (all zero unless a serving
-    engine fed its events into this profiler). *)
-
 type t
 
 val create : unit -> t
 val sink : t -> Trace.sink
-val feed : t -> Trace.event -> unit
 
 val rows : t -> row list
 (** Sorted by simulated time (descending), then name. *)
 
 val find_row : t -> string -> row option
-val call_time_us : t -> float
+
 val total_time_us : t -> float
 (** Call time plus step and replay overheads: equals the VM's
     [stats.elapsed_us] over the profiled runs. *)
@@ -74,17 +53,11 @@ val total_time_us : t -> float
 val peak_live_bytes : t -> int
 val steps : t -> int
 val replays : t -> int
-val event_count : t -> int
-val alloc_count : t -> int
-val reuse_count : t -> int
-val free_count : t -> int
-val serve_counts : t -> serve_counts
 
-val backend_split : t -> (string * int * float) list
-(** Kernel time attributed per execution backend:
-    [(backend, calls, time_us)] sorted by backend name. Empty until a
-    kernel launch is profiled. The [--profile] report renders this as
-    a "backends:" line. *)
+val serve_count : t -> Trace.serve_tag -> int
+(** {!Trace.Serve} events seen with this tag (0 unless a serving
+    engine or cluster fed its events into this profiler). A timeout is
+    a shed too: [serve_count t `Shed] counts [`Shed] and [`Timeout]. *)
 
 val comm_time_us : t -> float
 (** Simulated time spent in collectives ([`Comm] rows). *)
@@ -103,9 +76,9 @@ val device_split : t -> (string * int * float) list
 val fault_count : t -> Fault.kind -> int
 (** {!Trace.Fault_injected} events seen, by fault kind. *)
 
-val faults_injected : t -> int
-(** Total {!Trace.Fault_injected} events seen. *)
-
 val report : ?top:int -> t -> string
 (** Text table sorted by time; [top] truncates to the first [top]
-    rows. Ends with call/time/memory total lines. *)
+    rows. Ends with call/time/memory total lines, a "backends:" line
+    (kernel calls and time per execution backend), and serving,
+    resilience, kv-sharing, failover and fault lines when those
+    events were seen. *)

@@ -1,21 +1,13 @@
 type policy = Continuous | Static
 type admission = Fcfs | Deadline_aware
 
-type retry = {
-  max_attempts : int;
-  backoff_us : float;
-  backoff_mult : float;
-}
-
-let default_retry = { max_attempts = 3; backoff_us = 500.0; backoff_mult = 2.0 }
-
 type opts = {
   max_batch : int;
   block_size : int;
   policy : policy;
   kv_budget_bytes : int option;
   admission : admission;
-  retry : retry;
+  max_attempts : int;
   faults : Runtime.Fault.config option;
   kv_share : bool;
   prefix_prefill_discount : bool;
@@ -30,7 +22,7 @@ let default_opts =
     policy = Continuous;
     kv_budget_bytes = None;
     admission = Fcfs;
-    retry = default_retry;
+    max_attempts = 3;
     faults = None;
     kv_share = false;
     prefix_prefill_discount = false;
@@ -45,6 +37,7 @@ type exec = [ `Sim | `Numeric of int ]
 type entry = {
   vm : Runtime.Vm.t;
   built : Frontend.Llm.built;
+  prog : Runtime.Vm.program;
   costs : (int, float) Hashtbl.t;  (** rounded ctx -> elapsed_us *)
 }
 
@@ -52,22 +45,13 @@ type model = {
   cfg : Frontend.Configs.t;
   precision : Frontend.Llm.precision;
   device : Runtime.Device.t;
-  decode_entries : (int, entry) Hashtbl.t;  (** batch bucket -> entry *)
-  mutable prefill_entry : entry option;
-  mutable numeric_decode : (Frontend.Llm.built * Runtime.Vm.program) option;
+  entries : ([ `Decode of int | `Prefill ], entry) Hashtbl.t;
+      (** decode batch bucket, or the prefill -> entry *)
   mutable numeric_prefill : (Frontend.Llm.built * Runtime.Vm.program) option;
 }
 
 let model ~cfg ~precision ~device =
-  {
-    cfg;
-    precision;
-    device;
-    decode_entries = Hashtbl.create 8;
-    prefill_entry = None;
-    numeric_decode = None;
-    numeric_prefill = None;
-  }
+  { cfg; precision; device; entries = Hashtbl.create 8; numeric_prefill = None }
 
 let compile built device =
   Relax_passes.Pipeline.compile
@@ -83,26 +67,20 @@ let warmup vm (built : Frontend.Llm.built) =
     (Runtime.Vm.run vm built.Frontend.Llm.entry
        (Frontend.Llm.args_for built ~ctx:1 ~mode:`Shadow ()))
 
-let decode_entry m bucket =
-  match Hashtbl.find_opt m.decode_entries bucket with
+let entry m kind =
+  match Hashtbl.find_opt m.entries kind with
   | Some e -> e
   | None ->
-      let built = Frontend.Llm.decode_paged m.cfg ~batch:bucket m.precision in
-      let vm = Runtime.Vm.create (`Timed m.device) (compile built m.device) in
+      let built =
+        match kind with
+        | `Decode batch -> Frontend.Llm.decode_paged m.cfg ~batch m.precision
+        | `Prefill -> Frontend.Llm.prefill ~return_caches:false m.cfg m.precision
+      in
+      let prog = compile built m.device in
+      let vm = Runtime.Vm.create (`Timed m.device) prog in
       warmup vm built;
-      let e = { vm; built; costs = Hashtbl.create 32 } in
-      Hashtbl.add m.decode_entries bucket e;
-      e
-
-let prefill_entry m =
-  match m.prefill_entry with
-  | Some e -> e
-  | None ->
-      let built = Frontend.Llm.prefill ~return_caches:false m.cfg m.precision in
-      let vm = Runtime.Vm.create (`Timed m.device) (compile built m.device) in
-      warmup vm built;
-      let e = { vm; built; costs = Hashtbl.create 32 } in
-      m.prefill_entry <- Some e;
+      let e = { vm; built; prog; costs = Hashtbl.create 32 } in
+      Hashtbl.add m.entries kind e;
       e
 
 let cost_of (e : entry) ctx =
@@ -130,11 +108,11 @@ let round_up n step = (n + step - 1) / step * step
    one decode step of batch bucket [bucket] at context [ctx]. Lengths
    round up to whole KV blocks and clamp to the model's context. *)
 let prefill_cost m ~block_size n =
-  cost_of (prefill_entry m)
+  cost_of (entry m `Prefill)
     (min (max 1 (round_up n block_size)) m.cfg.Frontend.Configs.max_context)
 
 let decode_cost m ~block_size ~bucket ctx =
-  cost_of (decode_entry m bucket)
+  cost_of (entry m (`Decode bucket))
     (min
        (max 1 (round_up ctx block_size))
        (m.cfg.Frontend.Configs.max_context - 1))
@@ -178,16 +156,10 @@ type numeric = {
   seed : int;
 }
 
+(* Numeric decode runs the batch-1 cost entry's program; numeric
+   prefill needs its own build, which also returns the caches. *)
 let numeric_ctx m seed =
-  let dec_built, dec_prog =
-    match m.numeric_decode with
-    | Some p -> p
-    | None ->
-        let built = Frontend.Llm.decode_paged m.cfg ~batch:1 m.precision in
-        let p = (built, compile built m.device) in
-        m.numeric_decode <- Some p;
-        p
-  in
+  let dec = entry m (`Decode 1) in
   let pre_built, pre_prog =
     match m.numeric_prefill with
     | Some p -> p
@@ -200,13 +172,13 @@ let numeric_ctx m seed =
   (* decode_paged params are ids, cur_len, caches..., embedding,
      weights...; the tail from the embedding onward is exactly
      prefill's tail, so both programs share one weight set. *)
-  let template = Frontend.Llm.args_for dec_built ~ctx:0 ~seed ~mode:`Numeric () in
+  let template = Frontend.Llm.args_for dec.built ~ctx:0 ~seed ~mode:`Numeric () in
   let weights =
     List.filteri (fun i _ -> i >= 2 + (2 * m.cfg.Frontend.Configs.layers)) template
   in
   {
-    dec_vm = Runtime.Vm.create `Numeric dec_prog;
-    dec_built;
+    dec_vm = Runtime.Vm.create `Numeric dec.prog;
+    dec_built = dec.built;
     pre_vm = Runtime.Vm.create `Numeric pre_prog;
     pre_built;
     weights;
@@ -225,18 +197,6 @@ let prompt_tokens (nx : numeric) vocab (req : Workload.request) =
   | None ->
       let st = Random.State.make [| nx.seed; req.Workload.id |] in
       List.init req.Workload.prompt_len (fun _ -> Random.State.int st vocab)
-
-let argmax_token logits =
-  let n = Base.Ndarray.numel logits in
-  let best = ref 0 and best_v = ref neg_infinity in
-  for i = 0 to n - 1 do
-    let v = Base.Ndarray.get_flat_float logits i in
-    if v > !best_v then begin
-      best_v := v;
-      best := i
-    end
-  done;
-  !best
 
 let fresh_caches (cfg : Frontend.Configs.t) =
   List.init
@@ -322,10 +282,14 @@ let recover_after = 8
    admitted with exactly zero slack and mostly miss. *)
 let feasibility_headroom = 1.4
 
+(* A failed prefill re-queues its request [retry_backoff_us] after the
+   failure, doubling with every further attempt. *)
+let retry_backoff_us = 500.0
+
 let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
   if opts.max_batch < 1 then
     Runtime.Fault.errorf Runtime.Fault.Fatal "Scheduler.run: max_batch < 1";
-  if opts.retry.max_attempts < 1 then
+  if opts.max_attempts < 1 then
     Runtime.Fault.errorf Runtime.Fault.Fatal "Scheduler.run: max_attempts < 1";
   let cfg = m.cfg in
   let mmax = cfg.Frontend.Configs.max_context in
@@ -420,15 +384,17 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
       emit `Evict ~id:(-1) ~t_us:!clock ~batch:(List.length !running)
         ~tokens:(after.Block_manager.evictions - before.Block_manager.evictions)
   in
-  (* Injected OOM makes a grow fail exactly as block exhaustion does:
-     the caller's admission-control / preemption path handles it. *)
-  let try_grow ~site ~request_id ~tokens =
-    if fires Runtime.Fault.Alloc_oom site then false
+  (* One block-manager call for request [id] at [site]: [None] when an
+     injected OOM fails it exactly as block exhaustion would (the
+     caller's admission-control / preemption path handles it), else
+     [f]'s result with its copy-on-write and eviction traced. *)
+  let kv_call site ~id f =
+    if fires Runtime.Fault.Alloc_oom site then None
     else begin
       let before = Block_manager.stats bm in
-      let ok = Block_manager.grow bm ~request_id ~tokens in
-      diff_block_events ~id:request_id before;
-      ok
+      let res = f () in
+      diff_block_events ~id before;
+      Some res
     end
   in
   (* Token ids the prefix tree matches on: only requests that carry
@@ -437,18 +403,6 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
     match req.Workload.prompt_tokens with
     | Some toks -> Array.of_list toks
     | None -> [||]
-  in
-  let try_acquire ~site (r : rstate) ~tokens =
-    if fires Runtime.Fault.Alloc_oom site then `No_space
-    else begin
-      let before = Block_manager.stats bm in
-      let res =
-        Block_manager.acquire bm ~request_id:r.req.Workload.id
-          ~prompt:(prompt_arr r.req) ~tokens
-      in
-      diff_block_events ~id:r.req.Workload.id before;
-      res
-    end
   in
   (* ---- graceful degradation: persistent device stall shrinks the
      effective batch (admission width), sustained clean steps restore
@@ -571,6 +525,33 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
       ~id:r.req.Workload.id ~t_us:!clock ~batch:(List.length !running)
       ~tokens:r.req.Workload.prompt_len
   in
+  (* A transient prefill failure or a corrupt token costs [r] one
+     attempt; true once the budget is spent. *)
+  let spend_attempt (r : rstate) =
+    r.attempts <- r.attempts + 1;
+    emit `Retry ~id:r.req.Workload.id ~t_us:!clock
+      ~batch:(List.length !running) ~tokens:r.attempts;
+    r.attempts >= opts.max_attempts
+  in
+  (* Recompute preemption: [r] loses its KV blocks and re-prefills its
+     [cache_len] positions on re-admission. The caller moves it out of
+     the running batch. *)
+  let preempt (r : rstate) =
+    Block_manager.release bm ~request_id:r.req.Workload.id;
+    r.preempt_count <- r.preempt_count + 1;
+    emit `Preempt ~id:r.req.Workload.id ~t_us:!clock
+      ~batch:(List.length !running) ~tokens:r.cache_len
+  in
+  (* [r]'s first token is out and its cache holds [cache_len]
+     positions: a single-token request finishes, the rest join the
+     running batch. *)
+  let first_token (r : rstate) ~cache_len =
+    r.cache_len <- cache_len;
+    r.generated <- 1;
+    r.first_token_us <- !clock;
+    if r.generated >= r.req.Workload.output_len then finish r
+    else running := !running @ [ r ]
+  in
   (* Expected slowdown of the degraded machine, from the armed fault
      config: stalls inflate the average step by stall_p * (factor - 1)
      and transient launch failures waste a 1 / (1 - p) fraction of
@@ -587,6 +568,13 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
            *. max 0.0 (c.Runtime.Fault.stall_factor -. 1.0)))
         /. (1.0 -. min 0.9 (max 0.0 c.Runtime.Fault.kernel_fail_p))
   in
+  (* Uncontended time for [r]'s [remaining] decode steps in a batch of
+     [live], every step charged at [r]'s final context. *)
+  let decode_left (r : rstate) ~live remaining =
+    float_of_int (max 0 remaining)
+    *. decode_cost ~live
+         ~ctx:(r.req.Workload.prompt_len + r.req.Workload.output_len - 1)
+  in
   (* Deadline feasibility: prefill plus every remaining token at the
      would-be batch's step cost must land before the deadline. Uses
      the same memoized cost model the engine charges from, so the
@@ -596,15 +584,12 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
     let target =
       if r.cache_len = 0 then r.req.Workload.prompt_len else r.cache_len
     in
-    let remaining = max 0 (r.req.Workload.output_len - max 1 r.generated) in
-    let step =
-      decode_cost
-        ~live:(min opts.max_batch (List.length !running + 1))
-        ~ctx:(r.req.Workload.prompt_len + r.req.Workload.output_len - 1)
+    let decode =
+      decode_left r ~live:(List.length !running + 1)
+        (r.req.Workload.output_len - max 1 r.generated)
     in
     !clock
-    +. ((prefill_cost target +. (float_of_int remaining *. step))
-       *. fault_slowdown *. feasibility_headroom)
+    +. ((prefill_cost target +. decode) *. fault_slowdown *. feasibility_headroom)
     <= d
   in
   (* Admission-queue policy pass: drop requests that can never be
@@ -656,18 +641,11 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
           (fun (r : rstate) ->
             match r.req.Workload.deadline_us with
             | Some d ->
-                let remaining =
-                  max 0 (r.req.Workload.output_len - r.generated)
+                let decode =
+                  decode_left r ~live:(List.length !running)
+                    (r.req.Workload.output_len - r.generated)
                 in
-                let step =
-                  decode_cost
-                    ~live:(min opts.max_batch (List.length !running))
-                    ~ctx:(r.req.Workload.prompt_len + r.req.Workload.output_len - 1)
-                in
-                if
-                  d <= !clock
-                  || !clock +. (float_of_int remaining *. step *. fault_slowdown)
-                     > d
+                if d <= !clock || !clock +. (decode *. fault_slowdown) > d
                 then begin
                   Block_manager.release bm ~request_id:r.req.Workload.id;
                   running := List.filter (fun x -> x != r) !running;
@@ -705,11 +683,14 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
           List.find_opt (fun (p : rstate) -> p.req.Workload.id = pid) !running
         with
         | Some p
-          when p.cache_len > 0 && Block_manager.holds bm ~request_id:pid > 0 ->
-            if fires Runtime.Fault.Alloc_oom "kv-admit" then `Oom
-            else if Block_manager.fork bm ~parent:pid ~child:r.req.Workload.id
-            then `Forked p
-            else `Fresh (* sharing off and the copy doesn't fit *)
+          when p.cache_len > 0 && Block_manager.holds bm ~request_id:pid > 0 -> (
+            match
+              kv_call "kv-admit" ~id:r.req.Workload.id (fun () ->
+                  Block_manager.fork bm ~parent:pid ~child:r.req.Workload.id)
+            with
+            | None -> `Oom
+            | Some true -> `Forked p
+            | Some false -> `Fresh (* sharing off and the copy doesn't fit *))
         | _ -> `Fresh)
     | _ -> `Fresh
   in
@@ -726,9 +707,9 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
         | `Oom -> `Blocked
         | `Forked p ->
             waiting := prefix @ rest;
-            r.cache_len <- p.cache_len;
-            r.generated <- 1;
-            r.first_token_us <- !clock;
+            if opts.kv_share then
+              emit `Prefix_hit ~id:r.req.Workload.id ~t_us:!clock
+                ~batch:(List.length !running) ~tokens:p.cache_len;
             r.history <- p.history;
             r.last_logits <- p.last_logits;
             (match nx with
@@ -742,19 +723,19 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
                       Runtime.Vm.tensor
                         (Base.Ndarray.copy (Runtime.Vm.value_tensor v)))
                     p.ncaches);
-            if opts.kv_share then
-              emit `Prefix_hit ~id:r.req.Workload.id ~t_us:!clock
-                ~batch:(List.length !running) ~tokens:r.cache_len;
-            if r.generated >= r.req.Workload.output_len then finish r
-            else running := !running @ [ r ];
+            first_token r ~cache_len:p.cache_len;
             `Admitted
         | `Fresh ->
         let target =
           if r.cache_len = 0 then r.req.Workload.prompt_len else r.cache_len
         in
-        match try_acquire ~site:"kv-admit" r ~tokens:target with
-        | `No_space -> `Blocked
-        | `Ok matched ->
+        match
+          kv_call "kv-admit" ~id:r.req.Workload.id (fun () ->
+              Block_manager.acquire bm ~request_id:r.req.Workload.id
+                ~prompt:(prompt_arr r.req) ~tokens:target)
+        with
+        | None | Some `No_space -> `Blocked
+        | Some (`Ok matched) ->
           if matched > 0 then
             emit `Prefix_hit ~id:r.req.Workload.id ~t_us:!clock
               ~batch:(List.length !running) ~tokens:matched;
@@ -778,19 +759,14 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
                re-queues with exponential backoff — or aborts once its
                attempt budget is spent. *)
             Block_manager.release bm ~request_id:r.req.Workload.id;
-            r.attempts <- r.attempts + 1;
-            emit `Retry ~id:r.req.Workload.id ~t_us:!clock
-              ~batch:(List.length !running) ~tokens:r.attempts;
-            if r.attempts >= opts.retry.max_attempts then begin
+            if spend_attempt r then begin
               waiting := prefix @ rest;
               abort r
             end
             else begin
               r.retry_at <-
                 !clock
-                +. opts.retry.backoff_us
-                   *. (opts.retry.backoff_mult
-                      ** float_of_int (r.attempts - 1));
+                +. (retry_backoff_us *. (2.0 ** float_of_int (r.attempts - 1)));
               waiting := prefix @ (r :: rest)
             end;
             `Failed_attempt
@@ -807,12 +783,8 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
                   let toks = prompt_tokens nx cfg.Frontend.Configs.vocab r.req in
                   let logits = numeric_prefill_run nx cfg r toks in
                   r.last_logits <- Some logits;
-                  r.history <- toks @ [ argmax_token logits ]);
-              r.cache_len <- target;
-              r.generated <- 1;
-              r.first_token_us <- !clock;
-              if r.generated >= r.req.Workload.output_len then finish r
-              else running := !running @ [ r ]
+                  r.history <- toks @ [ Base.Ndarray.argmax logits ]);
+              first_token r ~cache_len:target
             end
             else begin
               (* Preempted earlier: re-prefill the cached positions
@@ -841,17 +813,19 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
     let has_eligible () =
       List.exists (fun (r : rstate) -> r.retry_at <= !clock) !waiting
     in
+    let rec admit_while room =
+      if room () && has_eligible () then
+        match admit_one () with
+        | `Admitted ->
+            incr admitted;
+            admit_while room
+        | `Failed_attempt ->
+            failed := true;
+            admit_while room
+        | `Blocked -> ()
+    in
     (match opts.policy with
-    | Continuous ->
-        let continue_ = ref true in
-        while
-          !continue_ && List.length !running < !eff_batch && has_eligible ()
-        do
-          match admit_one () with
-          | `Admitted -> incr admitted
-          | `Failed_attempt -> failed := true
-          | `Blocked -> continue_ := false
-        done
+    | Continuous -> admit_while (fun () -> List.length !running < !eff_batch)
     | Static ->
         (* Cohorts only form when the machine is idle, and only at
            full width (or from the final stragglers once the stream
@@ -861,13 +835,7 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
           && (List.length !waiting >= !eff_batch || !arrivals = [])
           && !waiting <> []
         then begin
-          let continue_ = ref true in
-          while !continue_ && !admitted < !eff_batch && has_eligible () do
-            match admit_one () with
-            | `Admitted -> incr admitted
-            | `Failed_attempt -> failed := true
-            | `Blocked -> continue_ := false
-          done;
+          admit_while (fun () -> !admitted < !eff_batch);
           cohort := List.length !running
         end);
     !admitted > 0 || !failed || pruned > 0 || reaped > 0
@@ -880,8 +848,10 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
      that cannot grow is a genuine budget overrun. *)
   let rec ensure_capacity (r : rstate) =
     if
-      try_grow ~site:"kv-grow" ~request_id:r.req.Workload.id
-        ~tokens:(r.cache_len + 1)
+      kv_call "kv-grow" ~id:r.req.Workload.id (fun () ->
+          Block_manager.grow bm ~request_id:r.req.Workload.id
+            ~tokens:(r.cache_len + 1))
+      = Some true
     then true
     else
       match List.rev !running with
@@ -893,12 +863,9 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
             Runtime.Fault.errorf Runtime.Fault.Resource_exhausted
               "Serve: request %d alone exceeds the KV budget (%d blocks)"
               r.req.Workload.id (Block_manager.total_blocks bm);
-          Block_manager.release bm ~request_id:victim.req.Workload.id;
-          victim.preempt_count <- victim.preempt_count + 1;
           running := List.filter (fun x -> x != victim) !running;
           waiting := victim :: !waiting;
-          emit `Preempt ~id:victim.req.Workload.id ~t_us:!clock
-            ~batch:(List.length !running) ~tokens:victim.cache_len;
+          preempt victim;
           if victim == r then false else ensure_capacity r
   in
   let decode_step () =
@@ -941,10 +908,7 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
             if fires Runtime.Fault.Nan_corruption "decode" then begin
               (* Corrupt output for this request's token: discard it
                  and spend an attempt; the next step regenerates. *)
-              r.attempts <- r.attempts + 1;
-              emit `Retry ~id:r.req.Workload.id ~t_us:!clock
-                ~batch:(List.length !running) ~tokens:r.attempts;
-              if r.attempts >= opts.retry.max_attempts then begin
+              if spend_attempt r then begin
                 running := List.filter (fun x -> x != r) !running;
                 abort r
               end
@@ -955,7 +919,7 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
               | Some nx ->
                   let logits = numeric_decode_run nx r in
                   r.last_logits <- Some logits;
-                  r.history <- r.history @ [ argmax_token logits ]);
+                  r.history <- r.history @ [ Base.Ndarray.argmax logits ]);
               r.cache_len <- r.cache_len + 1;
               r.generated <- r.generated + 1;
               if r.generated >= r.req.Workload.output_len then begin
@@ -977,13 +941,7 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
              (recompute-preemption on restart) and the clock jumps to
              the window's end, where the restarted engine drains the
              backlog that piled up. *)
-          List.iter
-            (fun (r : rstate) ->
-              Block_manager.release bm ~request_id:r.req.Workload.id;
-              r.preempt_count <- r.preempt_count + 1;
-              emit `Preempt ~id:r.req.Workload.id ~t_us:!clock
-                ~batch:(List.length !running) ~tokens:r.cache_len)
-            !running;
+          List.iter preempt !running;
           waiting := !running @ !waiting;
           running := [];
           advance_to until_us;
@@ -1032,7 +990,7 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
               let next = Float.min next_retry next_arrival in
               let next =
                 if next > !clock && next < Float.infinity then next
-                else !clock +. opts.retry.backoff_us
+                else !clock +. retry_backoff_us
               in
               advance_to (cap_stop next);
               loop ()

@@ -33,10 +33,12 @@
     inflated), a KV-block admit or grow may hit an injected OOM
     (handled by the normal admission-control / preemption path), and
     a decoded token may come back corrupt (discarded).
-    Transient/corrupt failures cost the request one attempt from
-    [opts.retry]'s budget with exponential backoff between admission
-    attempts (blocks are released while backing off); exhausting the
-    budget aborts the request. Persistent stalls shrink the effective admission batch
+    A failed prefill or a corrupt token costs the request one of its
+    [opts.max_attempts]; a failed prefill releases the blocks and
+    re-queues the request 500 us after the failure, doubling with every
+    further attempt, while a failed decode step is retried by the next
+    iteration. Spending the last attempt aborts the request.
+    Persistent stalls shrink the effective admission batch
     (halve after 3 consecutive stalled steps, restore after 8 clean
     ones). With [opts.faults = None] every fault path is skipped
     outright and traces/metrics are byte-identical to the fault-free
@@ -82,17 +84,6 @@ type admission =
           [Workload.deadline_us] has passed or is infeasible under
           the cost model *)
 
-type retry = {
-  max_attempts : int;
-      (** per-request attempt budget across transient faults and
-          corrupt tokens; >= 1. The request aborts when spent. *)
-  backoff_us : float;  (** first backoff delay after a failed attempt *)
-  backoff_mult : float;  (** exponential growth per further attempt *)
-}
-
-val default_retry : retry
-(** 3 attempts, 500 us initial backoff, doubling. *)
-
 type opts = {
   max_batch : int;  (** decode batch slots *)
   block_size : int;  (** KV block granularity, tokens *)
@@ -101,7 +92,9 @@ type opts = {
       (** override the VRAM-derived KV budget (tests force preemption
           with tiny budgets) *)
   admission : admission;
-  retry : retry;
+  max_attempts : int;
+      (** per-request attempt budget across failed prefills and
+          corrupt tokens; >= 1. The request aborts when spent. *)
   faults : Runtime.Fault.config option;
       (** [None]: no injector, zero-cost, byte-identical to the
           fault-free engine. [Some c]: seeded injection; note that a
@@ -140,7 +133,7 @@ type opts = {
 
 val default_opts : opts
 (** Continuous, max_batch 8, block_size 16, VRAM-derived budget,
-    FCFS admission, {!default_retry}, no faults, no sharing, no
+    FCFS admission, 3 attempts, no faults, no sharing, no
     prefill discount, no slowdown/outage windows. *)
 
 type model
@@ -220,7 +213,7 @@ val run :
 
     Raising conditions (all {!Runtime.Fault.Error}):
     - [(Fatal, _)]: caller errors — [max_batch < 1],
-      [retry.max_attempts < 1], a request whose
+      [max_attempts < 1], a request whose
       [prompt_len + output_len] exceeds the model's max context — or
       a broken prefill program shape.
     - [(Resource_exhausted, _)]: without injection, a waiting request

@@ -487,7 +487,7 @@ let test_health_timeline_golden () =
   let ms v = v *. 1000.0 in
   let plan = [ crash_w (ms 25.0) (ms 95.0) ] in
   let tl =
-    Dist.Health.timeline Dist.Health.default_opts ~plan ~replicas:2
+    Dist.Health.timeline ~heartbeat_us:(ms 10.0) ~plan ~replicas:2
       ~horizon_us:(ms 400.0)
   in
   List.iter
@@ -513,7 +513,25 @@ let test_health_timeline_golden () =
        (Dist.Health.state_at tl ~replica:1 ~t_us:(ms 70.0)));
   Alcotest.(check string) "untouched replica stays healthy" "healthy"
     (Dist.Health.state_name
-       (Dist.Health.state_at tl ~replica:0 ~t_us:(ms 70.0)))
+       (Dist.Health.state_at tl ~replica:0 ~t_us:(ms 70.0)));
+  (* A crash over [25ms, 500ms) keeps failing half-open trials at 60,
+     80, 120, 200 and 360 ms: the backoff doubles 20, 40, 80, 160 and
+     then stays at the 160 ms cap, so the trial at 520 ms succeeds
+     (uncapped doubling would wait until 680 ms). *)
+  let plan = [ crash_w (ms 25.0) (ms 500.0) ] in
+  let tl =
+    Dist.Health.timeline ~heartbeat_us:(ms 10.0) ~plan ~replicas:2
+      ~horizon_us:(ms 1000.0)
+  in
+  Alcotest.(check (list (pair (float 1e-9) string)))
+    "long crash transition golden"
+    [ (ms 40.0, "down"); (ms 520.0, "recovering"); (ms 530.0, "healthy") ]
+    (List.map
+       (fun (tr : Dist.Health.transition) ->
+         (tr.Dist.Health.t_us, Dist.Health.state_name tr.Dist.Health.state))
+       tl);
+  Alcotest.(check (float 1e-9)) "long crash downtime" (ms 480.0)
+    (Dist.Health.downtime_us tl ~replica:1 ~horizon_us:(ms 1000.0))
 
 let test_health_stall_degrades () =
   (* A stall window never opens the circuit: the replica is Degraded
@@ -522,7 +540,7 @@ let test_health_stall_degrades () =
   let ms v = v *. 1000.0 in
   let plan = [ stall_w (ms 25.0) (ms 55.0) ] in
   let tl =
-    Dist.Health.timeline Dist.Health.default_opts ~plan ~replicas:2
+    Dist.Health.timeline ~heartbeat_us:(ms 10.0) ~plan ~replicas:2
       ~horizon_us:(ms 200.0)
   in
   Alcotest.(check (list (pair (float 1e-9) string)))
@@ -731,6 +749,28 @@ let test_zero_request_replica_fold () =
   Alcotest.(check int) "both requests complete" 2
     r.Dist.Cluster.summary.Serve.Metrics.completed
 
+let test_zero_heartbeat_rejected () =
+  (* The prober advances its clock by the heartbeat, so a heartbeat
+     that is not > 0 would probe forever: once a fault plan needs the
+     prober, routing and the cluster run reject it. *)
+  let w = [ req 0 0.0; req 1 100.0 ] in
+  let m = Lazy.force model in
+  List.iter
+    (fun heartbeat_us ->
+      let opts =
+        { (copts Dist.Cluster.Round_robin) with
+          Dist.Cluster.replica_faults = [ crash_w 25_000.0 200_000.0 ];
+          heartbeat_us }
+      in
+      let rejects what f =
+        match f () with
+        | _ -> Alcotest.failf "%s, heartbeat %g: returned" what heartbeat_us
+        | exception Invalid_argument _ -> ()
+      in
+      rejects "dispatch" (fun () -> ignore (Dist.Cluster.dispatch ~model:m opts w));
+      rejects "run" (fun () -> ignore (Dist.Cluster.run ~model:m opts w)))
+    [ 0.0; -10_000.0; Float.nan ]
+
 let print_failover_case (seed, replicas, victim, n, from_ms, dur_ms) =
   Printf.sprintf "seed=%d replicas=%d victim=%d n=%d crash=[%dms,+%dms)" seed
     replicas victim n from_ms dur_ms
@@ -829,4 +869,6 @@ let () =
             test_hedged_decode_no_duplicates;
           Alcotest.test_case "zero-request replica folds finite" `Quick
             test_zero_request_replica_fold;
+          Alcotest.test_case "non-positive heartbeat is rejected" `Quick
+            test_zero_heartbeat_rejected;
           QCheck_alcotest.to_alcotest test_failover_differential_qcheck ] ) ]

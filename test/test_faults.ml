@@ -86,7 +86,7 @@ let model =
   lazy (Serve.Scheduler.model ~cfg:tiny ~precision:Frontend.Llm.F16 ~device)
 
 let opts ?(max_batch = 2) ?(block_size = 4) ?(policy = Serve.Scheduler.Continuous)
-    ?(admission = Serve.Scheduler.Fcfs) ?retry ?faults ?budget_blocks () =
+    ?(admission = Serve.Scheduler.Fcfs) ?max_attempts ?faults ?budget_blocks () =
   let block_bytes =
     2 * tiny.Frontend.Configs.layers * tiny.Frontend.Configs.kv_heads
     * tiny.Frontend.Configs.head_dim * block_size * 2
@@ -96,7 +96,9 @@ let opts ?(max_batch = 2) ?(block_size = 4) ?(policy = Serve.Scheduler.Continuou
     block_size;
     policy;
     admission;
-    retry = Option.value retry ~default:Serve.Scheduler.default_retry;
+    max_attempts =
+      Option.value max_attempts
+        ~default:Serve.Scheduler.default_opts.Serve.Scheduler.max_attempts;
     faults;
     kv_budget_bytes = Option.map (fun b -> b * block_bytes) budget_blocks;
     kv_share = false;
@@ -230,19 +232,17 @@ let test_chaos_blocks_drain =
 let test_retry_bound =
   QCheck.Test.make ~count:60 ~name:"retries never exceed the attempt budget"
     arb_chaos (fun s ->
-      let retry =
-        { Serve.Scheduler.default_retry with max_attempts = 1 + (s.wseed mod 4) }
-      in
+      let max_attempts = 1 + (s.wseed mod 4) in
       let res =
         Serve.Scheduler.run (Lazy.force model)
           (opts ~max_batch:s.max_batch ~budget_blocks:s.budget_blocks
-             ~admission:s.admission ~retry ?faults:(chaos_faults s) ())
+             ~admission:s.admission ~max_attempts ?faults:(chaos_faults s) ())
           (workload ~seed:s.wseed ~rate:s.rate ~n:s.n
              ?deadline_slack_us:s.deadline_slack_us ())
       in
       List.for_all
         (fun (m : Serve.Metrics.request_metrics) ->
-          m.Serve.Metrics.retries <= retry.Serve.Scheduler.max_attempts)
+          m.Serve.Metrics.retries <= max_attempts)
         res.Serve.Scheduler.completed)
 
 let trace_strings f =
@@ -356,7 +356,7 @@ let test_prefill_failure_aborts () =
       { Runtime.Fault.disabled with Runtime.Fault.seed = 1; kernel_fail_p = 1.0 }
       w
   in
-  let attempts = Serve.Scheduler.default_retry.Serve.Scheduler.max_attempts in
+  let attempts = Serve.Scheduler.default_opts.Serve.Scheduler.max_attempts in
   Alcotest.(check (list int)) "every request aborts" [ 0; 1; 2; 3 ]
     (ids res.Serve.Scheduler.aborted);
   Alcotest.(check (list int)) "none completes" [] (completed_ids res);
@@ -366,6 +366,45 @@ let test_prefill_failure_aborts () =
   Alcotest.(check int) "summary counts the faults" (4 * attempts)
     res.Serve.Scheduler.summary.Serve.Metrics.faults;
   check_drained res
+
+(* A failed prefill re-queues its request 500 us after the failure,
+   then 1000 us after the next one: a lone request whose every
+   prefill fails traces its retries one prefill cost apart plus those
+   backoffs (about 18, 536 and 1554 us for this tiny prompt), then
+   aborts on the third. *)
+let test_prefill_backoff () =
+  let w = [ request ~id:0 ~arrival:0.0 ~prompt:4 ~output:2 ] in
+  let prefill_us =
+    match (Serve.Scheduler.run (Lazy.force model) (opts ()) w).Serve.Scheduler.completed with
+    | [ m ] -> m.Serve.Metrics.first_token_us
+    | _ -> Alcotest.fail "expected one completion"
+  in
+  let r = Runtime.Trace.recorder () in
+  let res =
+    Serve.Scheduler.run ~trace:(Runtime.Trace.sink r) (Lazy.force model)
+      (opts
+         ~faults:
+           { Runtime.Fault.disabled with Runtime.Fault.seed = 1; kernel_fail_p = 1.0 }
+         ())
+      w
+  in
+  let retries =
+    List.filter_map
+      (function
+        | Runtime.Trace.Serve { tag = `Retry; t_us; tokens; _ } -> Some (t_us, tokens)
+        | _ -> None)
+      (Runtime.Trace.events r)
+  in
+  Alcotest.(check (list (pair (float 1e-6) int)))
+    "retry times: prefill, +500 us, +1000 us"
+    [
+      (prefill_us, 1);
+      ((2.0 *. prefill_us) +. 500.0, 2);
+      ((3.0 *. prefill_us) +. 1500.0, 3);
+    ]
+    retries;
+  Alcotest.(check (list int)) "aborted after the third" [ 0 ]
+    res.Serve.Scheduler.aborted
 
 (* A lone request on a batch of one (no degradation): every step
    stalls, so its latency is exactly stall_factor times the clean one. *)
@@ -416,7 +455,7 @@ let test_token_corruption () =
       { Runtime.Fault.disabled with Runtime.Fault.seed = 1; nan_p = 1.0 }
       w
   in
-  let attempts = Serve.Scheduler.default_retry.Serve.Scheduler.max_attempts in
+  let attempts = Serve.Scheduler.default_opts.Serve.Scheduler.max_attempts in
   Alcotest.(check (list int)) "single-token requests complete" [ 0; 2 ]
     (completed_ids res);
   Alcotest.(check (list int)) "decoding requests abort" [ 1; 3 ]
@@ -537,9 +576,8 @@ let test_degradation_under_stall () =
          ())
       (workload ~seed:9 ~rate:200_000.0 ~n:8 ())
   in
-  let c = Runtime.Profiler.serve_counts p in
-  Alcotest.(check bool) "degrade events fired" true
-    (c.Runtime.Profiler.degrades > 0);
+  let c = Runtime.Profiler.serve_count p in
+  Alcotest.(check bool) "degrade events fired" true (c `Degrade > 0);
   Alcotest.(check bool) "stall faults counted" true
     (Runtime.Profiler.fault_count p Runtime.Fault.Device_stall > 0);
   (* Degradation slows, it must not drop work. *)
@@ -558,9 +596,7 @@ let test_typed_errors () =
       Serve.Scheduler.run (Lazy.force model) (opts ~max_batch:0 ()) (workload ()));
   check_fatal "max_attempts < 1" (fun () ->
       Serve.Scheduler.run (Lazy.force model)
-        (opts
-           ~retry:{ Serve.Scheduler.default_retry with max_attempts = 0 }
-           ())
+        (opts ~max_attempts:0 ())
         (workload ()));
   check_fatal "request exceeds max context" (fun () ->
       Serve.Scheduler.run (Lazy.force model) (opts ())
@@ -695,6 +731,8 @@ let () =
             test_kv_oom_recovers;
           Alcotest.test_case "faults fire only at the documented sites" `Quick
             test_site_table;
+          Alcotest.test_case "failed prefills back off 500 µs, then 1000 µs"
+            `Quick test_prefill_backoff;
         ] );
       ( "chaos",
         List.map QCheck_alcotest.to_alcotest

@@ -331,15 +331,15 @@ let test_trace_profiler_fold () =
       (opts ~max_batch:2 ~budget_blocks:4 ())
       (workload ())
   in
-  let c = Runtime.Profiler.serve_counts p in
-  Alcotest.(check int) "arrivals" 6 c.Runtime.Profiler.arrivals;
-  Alcotest.(check int) "finishes" 6 c.Runtime.Profiler.finishes;
+  let c = Runtime.Profiler.serve_count p in
+  Alcotest.(check int) "arrivals" 6 (c `Request_arrive);
+  Alcotest.(check int) "finishes" 6 (c `Finish);
   Alcotest.(check int) "preempts" res.Serve.Scheduler.summary.Serve.Metrics.preemptions
-    c.Runtime.Profiler.preempts;
+    (c `Preempt);
   Alcotest.(check bool) "prefills >= arrivals (re-prefill on resume)" true
-    (c.Runtime.Profiler.prefills >= c.Runtime.Profiler.arrivals);
+    (c `Prefill >= c `Request_arrive);
   Alcotest.(check bool) "decode steps happened" true
-    (c.Runtime.Profiler.decode_steps > 0);
+    (c `Decode_step > 0);
   Alcotest.(check bool) "report mentions serving" true
     (let report = Runtime.Profiler.report p in
      let rec contains i =
